@@ -41,8 +41,8 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
 // Digest over the EngineOptions fields that change SIMULATED semantics
 // (counters, values, patterns, contract). Host-runtime knobs — host_threads,
-// parallel_push_replay, parallel_replay_min_records, first_touch_init,
-// profile_push_replay, keep_iteration_log, fault_spec — are deliberately
+// parallel_replay_min_records, profile_push_replay, keep_iteration_log,
+// fault_spec — are deliberately
 // EXCLUDED: a checkpoint written by an 8-thread run must restore into a
 // 1-thread engine (and vice versa) and still reproduce the uninterrupted
 // fingerprint, which is exactly what the resume sweep asserts.
@@ -84,12 +84,15 @@ class ByteWriter {
   template <typename T>
   void Pod(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const uint8_t*>(&v);
-    out_->insert(out_->end(), p, p + sizeof(T));
+    Bytes(&v, sizeof(T));
   }
   void Bytes(const void* data, size_t size) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    out_->insert(out_->end(), p, p + size);
+    if (size == 0) {
+      return;  // data may be null (an empty vector's data())
+    }
+    const size_t at = out_->size();
+    out_->resize(at + size);
+    std::memcpy(out_->data() + at, data, size);
   }
   void Str(const std::string& s) {
     Pod(static_cast<uint64_t>(s.size()));

@@ -42,7 +42,6 @@
 #include "core/result.h"
 #include "core/worklist.h"
 #include "graph/graph.h"
-#include "simt/barrier.h"
 #include "simt/cost_model.h"
 #include "simt/device.h"
 
@@ -70,22 +69,21 @@ struct PushReplayIterationSplit {
   // collect-side fold engaged, < records when it merged same-chunk
   // same-destination candidates.
   uint64_t buffered = 0;
-  // Applies the drain issued: == records under the per-record drain, == the
-  // touched-destination count under the pre-combined drain.
+  // Applies the drain issued: == records per record, == the touched-
+  // destination count when pre-combined.
   uint64_t applies = 0;
   double collect_ms = 0.0;
   double replay_ms = 0.0;
-  bool partitioned = false;    // owner-computes drain (vs the serial fallback)
-  bool pre_combined = false;   // associative fold drain (one Apply per dst)
+  bool partitioned = false;    // drained over more than one range
+  bool pre_combined = false;   // associative fold (one Apply per dst)
   bool collect_folded = false;  // collect-side fold armed for this iteration
 };
 
 struct PushReplayProfile {
-  uint32_t ranges = 0;  // replay ranges armed for this run (1 = serial only)
-  uint64_t partitioned_replays = 0;
-  uint64_t serial_replays = 0;
-  // Pre-combined drains (serial or partitioned) and their record/apply
-  // totals; fold_records / fold_applies is the fold ratio — how many
+  uint32_t ranges = 0;  // replay ranges armed for this run (1 = one only)
+  uint64_t partitioned_replays = 0;  // iterations drained over `ranges`
+  uint64_t serial_replays = 0;       // iterations drained as one range
+  // Pre-combined drains and their record/apply totals; fold_records / fold_applies is the fold ratio — how many
   // candidates Combine folded away per issued Apply.
   uint64_t precombined_replays = 0;
   uint64_t fold_records = 0;
@@ -104,7 +102,8 @@ struct PushReplayProfile {
   // applying them (summed over workers; consumes are counted with apply).
   double fold_ms = 0.0;
   double apply_ms = 0.0;
-  std::vector<double> range_ms;  // per-range drain busy time, summed
+  // Per-range drain busy time, summed (single-range drains land in [0]).
+  std::vector<double> range_ms;
   std::vector<PushReplayIterationSplit> iterations;
 };
 
@@ -175,9 +174,7 @@ class Engine {
     watch_cancel_ = cancel_ != nullptr || deadline_ms_ > 0.0;
     control_break_ = false;
     break_outcome_ = RunOutcome::kCompleted;
-    degrade_shed_fold_ = false;
-    degrade_serial_drain_ = false;
-    run_downgrades_.clear();
+    loop_ = LoopState{};
 
     const auto n = static_cast<VertexId>(graph_.vertex_count());
     // Associative pre-combining (acc.h CombineCapability): armed per run
@@ -193,27 +190,21 @@ class Engine {
     JitController jit(options_.filter, options_.sim_worker_threads,
                       options_.overflow_threshold, pool_, host_threads_);
     FusionAccountant fusion(options_.fusion, options_.threads_per_cta);
-    // The fused kernels synchronize iterations with the software global
-    // barrier; the grid must be sized by Eq. 1 or the barrier deadlocks.
-    GlobalBarrier barrier(DeadlockFreeGridSize(
-        device_, ResourcesFor(options_.fusion, Direction::kPush,
-                              options_.threads_per_cta)));
-    // Stamp arrays zeroed through ParallelFor when first-touch is on, so
-    // their pages land near the replay workers that will stamp them.
-    ThreadPool* const init_pool = options_.first_touch_init ? pool_ : nullptr;
+    // Stamp arrays are zeroed through ParallelFor (first touch), so their
+    // pages land near the replay workers that will stamp them.
     recorded_stamp_.clear();
-    ParallelFill(recorded_stamp_, n, init_pool, host_threads_, 8192,
+    ParallelFill(recorded_stamp_, n, pool_, host_threads_, 8192,
                  [](size_t) { return 0u; });
     if (options_.use_atomic_updates) {
       touch_stamp_.clear();
-      ParallelFill(touch_stamp_, n, init_pool, host_threads_, 8192,
+      ParallelFill(touch_stamp_, n, pool_, host_threads_, 8192,
                    [](size_t) { return 0u; });
     }
     if (pre_combine_) {
       // Per-vertex fold accumulators for the pre-combined drain. The stamp
       // guards staleness, so fold_acc_ needs no initialization.
       fold_stamp_.clear();
-      ParallelFill(fold_stamp_, n, init_pool, host_threads_, 8192,
+      ParallelFill(fold_stamp_, n, pool_, host_threads_, 8192,
                    [](size_t) { return 0u; });
       if (fold_acc_.size() < n) {
         fold_acc_.resize(n);
@@ -250,31 +241,20 @@ class Engine {
     // never consults it (JitController::RecordActivation returns early), so
     // the collect drops the lane and replay reads a constant 0.
     workers_observed_ = options_.filter != FilterPolicy::kBallotOnly;
-    run_record_candidates_ = 0;
-    run_records_buffered_ = 0;
-    run_collect_fold_iterations_ = 0;
     SetupReplayPartition();
 
-    Direction prev_dir = Direction::kPush;
-    bool frontier_sorted = true;  // the initial frontier comes in id order
     const bool static_frontier = StaticFrontierAfterFirst(program);
-
-    // Producer of the CURRENT iteration's frontier (Figure 8 logs the filter
-    // per executed iteration). Any seed set beyond a handful of sources can
-    // only have come from an init kernel scanning the metadata — k-Core's
-    // all-underfull-vertices seed, PageRank's and BP's all-vertices seed —
-    // so it is attributed (and charged) as a ballot pass on the first
-    // iteration. This is why Figure 8 shows k-Core/PR/BP activating the
-    // ballot filter at the initial iteration(s).
-    char pending_filter = 'O';
-    bool charge_init_scan = false;
+    // Any seed set beyond a handful of sources can only have come from an
+    // init kernel scanning the metadata — k-Core's all-underfull-vertices
+    // seed, PageRank's and BP's all-vertices seed — so it is attributed (and
+    // charged) as a ballot pass on the first iteration. This is why Figure 8
+    // shows k-Core/PR/BP activating the ballot filter at the initial
+    // iteration(s).
     if (frontier.size() > options_.overflow_threshold) {
-      pending_filter = 'B';
-      charge_init_scan = true;
+      loop_.pending_filter = 'B';
+      loop_.charge_init_scan = true;
     }
 
-    uint64_t refill_words = 0;
-    uint32_t iter = 0;
     if (control.resume != nullptr) {
       // Restore AFTER the full normal arming above: InitialFrontier() and
       // the stamp fills have reset every piece of scratch and program state,
@@ -282,21 +262,19 @@ class Engine {
       // nothing else — the invariant that makes a resumed run bit-identical
       // to an uninterrupted one.
       if (!RestoreCheckpoint(*control.resume, program, meta, frontier, jit,
-                             fusion, result.stats, &iter, &prev_dir,
-                             &frontier_sorted, &pending_filter,
-                             &charge_init_scan, &refill_words)) {
+                             fusion, result.stats)) {
         result.stats.outcome = RunOutcome::kFaulted;
         result.values.assign(meta.values().begin(), meta.values().end());
         DisarmControl();
         return result;
       }
       result.stats.resumes += 1;
-      result.stats.resume_iteration = iter;
+      result.stats.resume_iteration = loop_.iter;
     }
-    for (; iter < options_.max_iterations; ++iter) {
-      if (IterationControl(iter, program, meta, frontier, jit, fusion,
-                           result.stats, prev_dir, frontier_sorted,
-                           pending_filter, charge_init_scan, refill_words)) {
+    for (; loop_.iter < options_.max_iterations; ++loop_.iter) {
+      const uint32_t iter = loop_.iter;
+      if (IterationControl(program, meta, frontier, jit, fusion,
+                           result.stats)) {
         break;
       }
       if (frontier.empty()) {
@@ -306,8 +284,8 @@ class Engine {
         if (frontier.empty()) {
           break;
         }
-        frontier_sorted = false;
-        refill_words = 2ull * frontier.size();
+        loop_.frontier_sorted = false;
+        loop_.refill_words = 2ull * frontier.size();
       }
       IterationInfo info;
       info.iteration = iter;
@@ -324,7 +302,7 @@ class Engine {
       // pull-heavy runs from building bins they discard.
       bool lists_ready = false;
       if (options_.classify_worklists &&
-          (prev_dir == Direction::kPush || options_.force_push)) {
+          (loop_.prev_dir == Direction::kPush || options_.force_push)) {
         info.frontier_out_edges =
             classifier_.Classify(frontier, graph_, options_.small_degree_limit,
                                  options_.medium_degree_limit, pool_,
@@ -336,7 +314,7 @@ class Engine {
       }
       info.vertex_count = graph_.vertex_count();
       info.edge_count = graph_.edge_count();
-      info.previous_direction = prev_dir;
+      info.previous_direction = loop_.prev_dir;
       if (program.Converged(info)) {
         break;
       }
@@ -347,12 +325,12 @@ class Engine {
       stamp_ = iter + 1;
 
       CostCounters it_cost;
-      it_cost.coalesced_words += refill_words;
-      refill_words = 0;
-      if (charge_init_scan) {
+      it_cost.coalesced_words += loop_.refill_words;
+      loop_.refill_words = 0;
+      if (loop_.charge_init_scan) {
         it_cost.coalesced_words += 2ull * n + frontier.size();
         it_cost.alu_ops += n;
-        charge_init_scan = false;
+        loop_.charge_init_scan = false;
       }
       uint64_t edges_processed = 0;
       if (dir == Direction::kPush) {
@@ -367,7 +345,7 @@ class Engine {
           }
           const WorkLists& lists = classifier_.result();
           edges_processed =
-              ProcessPush(program, meta, lists.Views(), frontier_sorted,
+              ProcessPush(program, meta, lists.Views(), loop_.frontier_sorted,
                           info.frontier_out_edges, jit, it_cost);
           last_stage_count_ = (lists.small.empty() ? 0u : 1u) +
                               (lists.medium.empty() ? 0u : 1u) +
@@ -379,7 +357,7 @@ class Engine {
           const std::array<WorkListView, 1> whole = {
               ViewOf(frontier, KernelClass::kThread)};
           edges_processed =
-              ProcessPush(program, meta, whole, frontier_sorted,
+              ProcessPush(program, meta, whole, loop_.frontier_sorted,
                           info.frontier_out_edges, jit, it_cost);
           last_stage_count_ = frontier.empty() ? 0u : 1u;
         }
@@ -400,25 +378,25 @@ class Engine {
         break;
       }
 
-      const char filter_char = pending_filter;
+      const char filter_char = loop_.pending_filter;
       if (static_frontier) {
         // Frontier provably unchanged (e.g. belief propagation: every vertex
         // stays active); reuse it without running any filter.
         meta.SyncPrev(pool_, host_threads_);
-        pending_filter = '=';
+        loop_.pending_filter = '=';
       } else {
         const auto active = [&](VertexId v) {
           return program.Active(meta.curr(v), meta.prev(v));
         };
         jit.BuildNextFrontierInto(n, active, it_cost, next_frontier_);
-        pending_filter = jit.pattern().back();
+        loop_.pending_filter = jit.pattern().back();
         if (jit.failed()) {
           result.stats.failed = true;
         }
         // Frontier committed: "changed" restarts from this snapshot. The
         // real kernels get this for free from the metadata ping-pong swap.
         meta.SyncPrev(pool_, host_threads_);
-        frontier_sorted = pending_filter == 'B';
+        loop_.frontier_sorted = loop_.pending_filter == 'B';
         // Swap instead of move: the displaced buffer becomes next
         // iteration's output scratch, so the steady state allocates nothing.
         frontier.swap(next_frontier_);
@@ -428,9 +406,6 @@ class Engine {
           fusion.ChargeIteration(device_, dir, iter, last_stage_count_);
       it_cost.kernel_launches += charge.launches;
       it_cost.barrier_crossings += charge.barrier_crossings;
-      for (uint64_t b = 0; b < charge.barrier_crossings; ++b) {
-        barrier.ArriveAndDepartAll();
-      }
 
       const SimTime t =
           EstimateTime(it_cost, device_, EffectiveOccupancy(charge.occupancy));
@@ -450,22 +425,22 @@ class Engine {
             iter, info.frontier_size, edges_processed, filter_char,
             dir == Direction::kPush ? 'p' : 'P', t.ms});
       }
-      prev_dir = dir;
+      loop_.prev_dir = dir;
       if (result.stats.failed) {
         break;
       }
     }
 
-    result.stats.iterations = iter;
-    result.stats.converged = iter < options_.max_iterations &&
+    result.stats.iterations = loop_.iter;
+    result.stats.converged = loop_.iter < options_.max_iterations &&
                              !result.stats.failed && !control_break_;
-    result.stats.push_record_candidates = run_record_candidates_;
-    result.stats.push_records_buffered = run_records_buffered_;
-    result.stats.collect_fold_iterations = run_collect_fold_iterations_;
+    result.stats.push_record_candidates = loop_.record_candidates;
+    result.stats.push_records_buffered = loop_.records_buffered;
+    result.stats.collect_fold_iterations = loop_.collect_fold_iterations;
     result.stats.outcome = control_break_ ? break_outcome_
                            : control.resume != nullptr ? RunOutcome::kResumed
                                                        : RunOutcome::kCompleted;
-    result.stats.downgrades = run_downgrades_;
+    result.stats.downgrades = loop_.downgrades;
     result.values.assign(meta.values().begin(), meta.values().end());
     DisarmControl();
     return result;
@@ -480,14 +455,13 @@ class Engine {
     const auto n = static_cast<VertexId>(graph_.vertex_count());
     // First-touch: the metadata arrays are written through ParallelFor (same
     // values as the serial loop) so their pages fault in on pool threads.
-    ThreadPool* const init_pool = options_.first_touch_init ? pool_ : nullptr;
     // Programs whose pull contributors must be visible on the very first
     // iteration seed prev differently from curr via InitPrev.
     if constexpr (requires(const Program& p, VertexId v) { p.InitPrev(v); }) {
       VertexMeta<Value> meta(
-          n, [&](VertexId v) { return program.InitPrev(v); }, init_pool,
+          n, [&](VertexId v) { return program.InitPrev(v); }, pool_,
           host_threads_);
-      ParallelRange(n, init_pool, host_threads_, 8192,
+      ParallelRange(n, pool_, host_threads_, 8192,
                     [&](size_t begin, size_t end) {
                       for (size_t v = begin; v < end; ++v) {
                         meta.curr(static_cast<VertexId>(v)) = program.InitValue(
@@ -497,7 +471,7 @@ class Engine {
       return meta;
     } else {
       return VertexMeta<Value>(
-          n, [&](VertexId v) { return program.InitValue(v); }, init_pool,
+          n, [&](VertexId v) { return program.InitValue(v); }, pool_,
           host_threads_);
     }
   }
@@ -602,50 +576,54 @@ class Engine {
   //   nothing writes curr during collection, so curr(v) IS the snapshot —
   //   charges the traversal costs to its chunk-private counters, and buffers
   //   one (dst, worker, candidate) record per out-edge (bucketed under the
-  //   destination's replay range when the partitioned drain is armed).
+  //   destination's replay range when the iteration drains over several
+  //   ranges).
   //
-  //   REPLAY: the records drain in ascending chunk order — which is exactly
-  //   list order, independent of grain and thread count. Two equivalent
-  //   drains exist:
+  //   REPLAY: one drain (ReplayPush / DrainRange). The destination-vertex
+  //   space is split into disjoint ranges, balanced by in-degree mass
+  //   (BalancedRangeBoundaries over the in-CSR offsets, so ranges balance by
+  //   incoming records). An iteration drains over replay_ranges_ ranges
+  //   (one per host thread) when its out-edge sum reaches
+  //   parallel_replay_min_records, and otherwise as ONE range — every
+  //   record and source of the unbucketed buffers — inline on the calling
+  //   thread. Each range walks the buffers in ascending chunk order (= list
+  //   order, independent of grain and thread count) over the records whose
+  //   dst it owns, and the run-constant pre_combine_ picks what it does
+  //   with them:
   //
-  //     * SERIAL (host_threads == 1, small iterations, or the option off):
-  //       one pass performs Apply, the curr writes, the atomic-contention
-  //       stamps, the online-filter records and ConsumeActivity in the
-  //       statement order a sequential walk of the records would.
+  //     * PER RECORD (StatsContract::kPerRecord): the statement sequence of
+  //       a sequential walk — Apply, the curr write, the atomic-contention
+  //       stamp, the activation decision — per record, with ConsumeActivity
+  //       for the sources the range owns at their serial span positions.
   //
-  //     * PARTITIONED (owner-computes): the destination-vertex space is
-  //       split into replay_ranges_ disjoint ranges, balanced by in-degree
-  //       mass (BalancedRangeBoundaries over the in-CSR offsets, so ranges
-  //       balance by incoming records). Each range worker drains only the
-  //       records whose dst it owns, in ascending (chunk, record) order,
-  //       and runs ConsumeActivity for the sources it owns at their serial
-  //       span positions. Everything a record touches — curr(dst), the
-  //       touch/record stamps, the activation decision, the park decision —
-  //       is keyed by a single vertex that exactly one worker owns, so the
-  //       per-destination statement order IS the serial order and every
-  //       value and stamp is bit-identical to the serial drain. The order-
-  //       sensitive side channels leave the workers through per-range
-  //       scratch: CostCounters merge in range order (pure integer sums —
-  //       order-insensitive), while online-filter records and deferred
-  //       Apply effects (ApplyEffect; SSSP's bucket parks) carry their
-  //       (chunk, record) position and are k-way merged back into the
-  //       global serial order before touching the shared bins / program
-  //       state.
+  //     * PRE-COMBINED (StatsContract::kPerDestination; the program declares
+  //       CombineCapability::kAssociativeOnly and
+  //       EngineOptions::pre_combine_replay is set): FOLD each destination's
+  //       candidates with Combine in record order, APPLY once per touched
+  //       destination in first-touch order (one Apply, one touch-stamp /
+  //       atomic charge and at most one write + activation, sequenced at the
+  //       destination's first-record position), then CONSUME the owned
+  //       sources. Per vertex the order is always fold-apply-consume, which
+  //       hands every same-phase arrival to the consume: residual programs
+  //       conserve activity as under the per-record interleaving, with
+  //       different FP rounding. The pull path needs none of this: a gather
+  //       already combines all contributors before its single Apply.
   //
-  //   Either way, every simulated stat, touch stamp and output value is
-  //   bit-identical for any host_threads.
-  //
-  //   PRE-COMBINED VARIANTS (StatsContract::kPerDestination): when the
-  //   program declares CombineCapability::kAssociativeOnly and
-  //   EngineOptions::pre_combine_replay is set, both drains above are
-  //   replaced by fold-then-apply counterparts that issue exactly one Apply
-  //   per touched destination (see the comment block above
-  //   DrainSerialPreCombined). Stats remain bit-identical for any
-  //   host_threads — under the per-destination contract, which maps to the
-  //   per-record one as documented in bench/README.md.
+  //   Everything a record touches — curr(dst), the touch/record/fold
+  //   stamps, the activation and park decisions — is keyed by one vertex
+  //   that exactly one range owns, so the per-vertex statement order is the
+  //   one-range order whatever the range count. The order-sensitive side
+  //   channels leave the ranges through per-range scratch: CostCounters
+  //   merge in range order (integer sums), while online-filter records and
+  //   deferred Apply effects (ApplyEffect; SSSP's bucket parks) carry their
+  //   (chunk, record) position and are merged back into the global record
+  //   order before touching the shared bins / program state. Every
+  //   simulated stat, touch stamp and output value is therefore
+  //   bit-identical for any host_threads, under either contract (the two
+  //   map to each other as documented in bench/README.md).
   //
   //   COLLECT-SIDE PRE-COMBINING (EngineOptions::pre_combine_collect, on
-  //   top of the pre-combined drains): iterations whose cost-model reuse
+  //   top of the pre-combined drain): iterations whose cost-model reuse
   //   estimate clears pre_combine_collect_min_fold fold same-chunk
   //   same-destination candidates AT COLLECT TIME through per-thread
   //   epoch-stamped dst→slot tables, buffering one record per (chunk,
@@ -702,21 +680,20 @@ class Engine {
     uint32_t worker;
   };
 
-  // Per-range scratch for the partitioned push replay, reused across
-  // iterations. Holds the range worker's counters plus its position-tagged
+  // Per-range scratch of the push drain, reused across iterations. Holds the
+  // range's counters, apply count and clocks plus its position-tagged
   // deferred streams; `effect_pos[i]` is the position of `effects[i]` (kept
   // parallel rather than wrapped so the no-effect programs pay nothing).
-  // `touched` is the pre-combined drain's first-touch list (empty for the
-  // per-record drains).
+  // `touched` is the pre-combined drain's first-touch list.
   struct ReplayScratch {
     CostCounters cost;
     std::vector<DeferredActivation> activations;
     std::vector<ApplyEffect> effects;
     std::vector<uint64_t> effect_pos;
     std::vector<FoldTouch> touched;
+    uint64_t applies = 0;
     double wall_ms = 0.0;
-    double fold_ms = 0.0;
-    double apply_ms = 0.0;
+    double fold_ms = 0.0;  // pre-combined: the FOLD share of wall_ms
   };
 
   // Per-host-thread scratch for the collect-side fold: dst → slot of the
@@ -737,6 +714,31 @@ class Engine {
         epoch = 1;
       }
     }
+  };
+
+  // Loop-carried state of one Run: what an iteration boundary hands to the
+  // next iteration besides the metadata, the frontier, the jit/fusion
+  // histories and RunStats. All of it except `iter` (the checkpoint header
+  // carries that) is the engine's part of the kEngineLoop checkpoint section.
+  struct LoopState {
+    uint32_t iter = 0;
+    Direction prev_dir = Direction::kPush;
+    bool frontier_sorted = true;  // the initial frontier comes in id order
+    // Producer of the CURRENT iteration's frontier (Figure 8 logs the filter
+    // per executed iteration).
+    char pending_filter = 'O';
+    bool charge_init_scan = false;
+    uint64_t refill_words = 0;
+    // Record-stream telemetry accumulated across the push iterations
+    // (copied into RunStats at the end of Run).
+    uint64_t record_candidates = 0;
+    uint64_t records_buffered = 0;
+    uint32_t collect_fold_iterations = 0;
+    // Degradation-ladder latches, so a resumed run stays on the rung the
+    // interrupted one reached.
+    bool shed_fold = false;
+    bool serial_drain = false;
+    std::vector<DowngradeEvent> downgrades;
   };
 
   static double NowMs() {
@@ -775,7 +777,7 @@ class Engine {
 
   // Latches the first cancellation/deadline observation into control_break_.
   // Only called from the Run thread (iteration boundaries and the
-  // single-threaded drains) — never from pool workers, so no races.
+  // single-range push drain) — never from pool workers, so no races.
   bool CancelOrDeadline() {
     if (control_break_) {
       return true;
@@ -811,26 +813,26 @@ class Engine {
 
   // Graceful-degradation ladder under host memory pressure: shed the
   // collect-fold tables first (the largest optional allocation), then fall
-  // back to the serial drain (drops the bucket lanes and per-range scratch
-  // growth). Each rung is latched and recorded as a DowngradeEvent instead
-  // of aborting, and every rung is stats-invariant — simulated statistics
-  // are identical on any rung, so the fingerprint oracle holds under
-  // pressure (pinned by tests/core/control_test).
+  // back to the single-range drain (drops the bucket lanes and per-range
+  // scratch growth). Each rung is latched and recorded as a DowngradeEvent
+  // instead of aborting, and every rung is stats-invariant — simulated
+  // statistics are identical on any rung, so the fingerprint oracle holds
+  // under pressure (pinned by tests/core/control_test).
   void Degrade(uint32_t iteration, const char* trigger) {
-    if (!degrade_shed_fold_) {
-      degrade_shed_fold_ = true;
+    if (!loop_.shed_fold) {
+      loop_.shed_fold = true;
       collect_fold_armed_ = false;
       fold_tables_.clear();
       fold_tables_.shrink_to_fit();
-      run_downgrades_.push_back(DowngradeEvent{
+      loop_.downgrades.push_back(DowngradeEvent{
           iteration, std::string("shed-collect-fold:") + trigger});
       return;
     }
-    if (!degrade_serial_drain_) {
-      degrade_serial_drain_ = true;
+    if (!loop_.serial_drain) {
+      loop_.serial_drain = true;
       push_buffers_.clear();
       push_buffers_.shrink_to_fit();
-      run_downgrades_.push_back(
+      loop_.downgrades.push_back(
           DowngradeEvent{iteration, std::string("serial-drain:") + trigger});
     }
   }
@@ -838,14 +840,11 @@ class Engine {
   // Runs at the top of every iteration, before any stage: cancellation,
   // alloc-pressure faults, checkpoint cadence, iteration-start faults.
   // Returns true when the loop must break (break_outcome_ says why).
-  bool IterationControl(uint32_t iter, const Program& program,
-                        const VertexMeta<Value>& meta,
+  bool IterationControl(const Program& program, const VertexMeta<Value>& meta,
                         const std::vector<VertexId>& frontier,
                         const JitController& jit,
-                        const FusionAccountant& fusion, RunStats& stats,
-                        Direction prev_dir, bool frontier_sorted,
-                        char pending_filter, bool charge_init_scan,
-                        uint64_t refill_words) {
+                        const FusionAccountant& fusion, RunStats& stats) {
+    const uint32_t iter = loop_.iter;
     if (!watch_cancel_ && faults_ == nullptr &&
         control_->checkpoint_every == 0) {
       return false;  // fully disarmed: the zero-cost path
@@ -860,9 +859,7 @@ class Engine {
     }
     if (control_->checkpoint_every != 0 && control_->on_checkpoint &&
         iter % control_->checkpoint_every == 0) {
-      if (!WriteCheckpoint(iter, program, meta, frontier, jit, fusion, stats,
-                           prev_dir, frontier_sorted, pending_filter,
-                           charge_init_scan, refill_words)) {
+      if (!WriteCheckpoint(program, meta, frontier, jit, fusion, stats)) {
         // WriteCheckpoint set break_outcome_: kFaulted for an injected write
         // fault, kCheckpointSinkFailed when the caller's sink refused the
         // bytes.
@@ -885,14 +882,11 @@ class Engine {
   // sink reports a persistence failure (→ kCheckpointSinkFailed); a
   // corruption-armed fault instead poisons the bytes silently — the
   // simulated torn write Validate() later catches.
-  bool WriteCheckpoint(uint32_t iter, const Program& program,
-                       const VertexMeta<Value>& meta,
+  bool WriteCheckpoint(const Program& program, const VertexMeta<Value>& meta,
                        const std::vector<VertexId>& frontier,
                        const JitController& jit,
-                       const FusionAccountant& fusion, RunStats& stats,
-                       Direction prev_dir, bool frontier_sorted,
-                       char pending_filter, bool charge_init_scan,
-                       uint64_t refill_words) {
+                       const FusionAccountant& fusion, RunStats& stats) {
+    const uint32_t iter = loop_.iter;
     static_assert(std::is_trivially_copyable_v<Value>,
                   "checkpointing snapshots raw value bytes");
     Checkpoint cp;
@@ -904,18 +898,18 @@ class Engine {
     cp.header.contract = static_cast<uint8_t>(stats.contract);
     {
       ByteWriter w(&cp.AddSection(CheckpointSectionId::kEngineLoop));
-      w.Pod(static_cast<uint8_t>(prev_dir));
-      w.Pod(static_cast<uint8_t>(frontier_sorted));
-      w.Pod(pending_filter);
-      w.Pod(static_cast<uint8_t>(charge_init_scan));
-      w.Pod(refill_words);
-      w.Pod(run_record_candidates_);
-      w.Pod(run_records_buffered_);
-      w.Pod(run_collect_fold_iterations_);
-      w.Pod(static_cast<uint8_t>(degrade_shed_fold_));
-      w.Pod(static_cast<uint8_t>(degrade_serial_drain_));
-      w.Pod(static_cast<uint64_t>(run_downgrades_.size()));
-      for (const DowngradeEvent& d : run_downgrades_) {
+      w.Pod(static_cast<uint8_t>(loop_.prev_dir));
+      w.Pod(static_cast<uint8_t>(loop_.frontier_sorted));
+      w.Pod(loop_.pending_filter);
+      w.Pod(static_cast<uint8_t>(loop_.charge_init_scan));
+      w.Pod(loop_.refill_words);
+      w.Pod(loop_.record_candidates);
+      w.Pod(loop_.records_buffered);
+      w.Pod(loop_.collect_fold_iterations);
+      w.Pod(static_cast<uint8_t>(loop_.shed_fold));
+      w.Pod(static_cast<uint8_t>(loop_.serial_drain));
+      w.Pod(static_cast<uint64_t>(loop_.downgrades.size()));
+      for (const DowngradeEvent& d : loop_.downgrades) {
         w.Pod(d.iteration);
         w.Str(d.action);
       }
@@ -981,10 +975,7 @@ class Engine {
   bool RestoreCheckpoint(const Checkpoint& cp, const Program& program,
                          VertexMeta<Value>& meta,
                          std::vector<VertexId>& frontier, JitController& jit,
-                         FusionAccountant& fusion, RunStats& stats,
-                         uint32_t* iter, Direction* prev_dir,
-                         bool* frontier_sorted, char* pending_filter,
-                         bool* charge_init_scan, uint64_t* refill_words) {
+                         FusionAccountant& fusion, RunStats& stats) {
     if (!cp.Validate(nullptr)) {
       return false;
     }
@@ -1010,25 +1001,25 @@ class Engine {
       uint8_t dir8 = 0, sorted8 = 0, init8 = 0, shed8 = 0, serial8 = 0;
       r.Pod(&dir8);
       r.Pod(&sorted8);
-      r.Pod(pending_filter);
+      r.Pod(&loop_.pending_filter);
       r.Pod(&init8);
-      r.Pod(refill_words);
-      r.Pod(&run_record_candidates_);
-      r.Pod(&run_records_buffered_);
-      r.Pod(&run_collect_fold_iterations_);
+      r.Pod(&loop_.refill_words);
+      r.Pod(&loop_.record_candidates);
+      r.Pod(&loop_.records_buffered);
+      r.Pod(&loop_.collect_fold_iterations);
       r.Pod(&shed8);
       r.Pod(&serial8);
       uint64_t downgrade_count = 0;
       if (!r.Pod(&downgrade_count) || downgrade_count > loop->bytes.size()) {
         return false;
       }
-      run_downgrades_.clear();
+      loop_.downgrades.clear();
       for (uint64_t i = 0; i < downgrade_count; ++i) {
         DowngradeEvent d;
         if (!r.Pod(&d.iteration) || !r.Str(&d.action)) {
           return false;
         }
-        run_downgrades_.push_back(std::move(d));
+        loop_.downgrades.push_back(std::move(d));
       }
       uint8_t jit_failed = 0;
       uint32_t ballot = 0, online = 0;
@@ -1045,12 +1036,12 @@ class Engine {
       if (!r.Pod(&barriers) || !r.AtEnd() || dir8 > 1 || last_dir8 > 1) {
         return false;
       }
-      *prev_dir = static_cast<Direction>(dir8);
-      *frontier_sorted = sorted8 != 0;
-      *charge_init_scan = init8 != 0;
-      degrade_shed_fold_ = shed8 != 0;
-      degrade_serial_drain_ = serial8 != 0;
-      if (degrade_shed_fold_) {
+      loop_.prev_dir = static_cast<Direction>(dir8);
+      loop_.frontier_sorted = sorted8 != 0;
+      loop_.charge_init_scan = init8 != 0;
+      loop_.shed_fold = shed8 != 0;
+      loop_.serial_drain = serial8 != 0;
+      if (loop_.shed_fold) {
         // Re-apply the recorded downgrade so the resumed trajectory matches
         // the interrupted one from the restore point onward.
         collect_fold_armed_ = false;
@@ -1106,7 +1097,7 @@ class Engine {
         return false;
       }
     }
-    *iter = cp.header.iteration;
+    loop_.iter = cp.header.iteration;
     return true;
   }
 
@@ -1121,9 +1112,9 @@ class Engine {
     // computed by classification) is exactly the record count a fold-free
     // collect will buffer, so iterations below the threshold skip the
     // bucketing bookkeeping (owner lookups, index appends, span events)
-    // entirely and go straight to the serial drain.
+    // entirely and drain as one range.
     collect_bucketed_ =
-        replay_ranges_ > 1 && !degrade_serial_drain_ &&
+        replay_ranges_ > 1 && !loop_.serial_drain &&
         frontier_out_edges >= options_.parallel_replay_min_records;
     // Collect-side fold, decided per iteration from simulated statistics
     // only (thread-count independent): skip the fold-table walk when the
@@ -1168,9 +1159,9 @@ class Engine {
     if (StageBreak(FaultPoint::kApply)) {
       return outcome.edges;
     }
-    run_record_candidates_ += outcome.edges;
-    run_records_buffered_ += outcome.buffered;
-    run_collect_fold_iterations_ += collect_fold_ ? 1 : 0;
+    loop_.record_candidates += outcome.edges;
+    loop_.records_buffered += outcome.buffered;
+    loop_.collect_fold_iterations += collect_fold_ ? 1 : 0;
     if (profile) {
       const double t_done = NowMs();
       profile_.collect_ms += t_replay - t_collect;
@@ -1333,18 +1324,19 @@ class Engine {
   struct ReplayOutcome {
     uint64_t edges = 0;     // out-edge candidates walked at collect
     uint64_t buffered = 0;  // records written (< edges iff collect folded)
-    uint64_t applies = 0;   // == edges for per-record drains
+    uint64_t applies = 0;   // == buffered per record; touched dsts when folded
     size_t buffer_bytes = 0;  // record-stream footprint of this iteration
-    bool partitioned = false;
+    bool partitioned = false;  // drained over replay_ranges_ > 1 ranges
   };
 
-  // Replay dispatcher: merges the collect-side counters in chunk order, then
-  // selects among the four drains — {per-record, pre-combined} × {serial,
-  // partitioned}. The per-record pair is observably identical for any
-  // host_threads (StatsContract::kPerRecord); the pre-combined pair is
-  // likewise identical to EACH OTHER for any host_threads but issues one
-  // Apply per touched destination (StatsContract::kPerDestination) — see the
-  // phase comment above ProcessPush.
+  // The push drain. Merges the collect-side counters in chunk order, then
+  // runs DrainRange once per destination range: over replay_ranges_
+  // owner-computes workers when the collect bucketed, else as one range
+  // inline on the calling thread. The per-range side channels then merge
+  // back in range order (counters, applies, clocks) and in global record
+  // order (filter records into the shared bins, Apply effects into the
+  // program — the overflow latching, charge order and SSSP pending-list
+  // order of one sequential walk).
   ReplayOutcome ReplayPush(const Program& program, VertexMeta<Value>& meta,
                            uint32_t num_buffers, JitController& jit,
                            CostCounters& cost) {
@@ -1355,99 +1347,29 @@ class Engine {
       out.buffered += push_buffers_[b].size();
       out.buffer_bytes += push_buffers_[b].FootprintBytes();
     }
-    // Collect bucketed iff the pre-collect decision armed it (the frontier
-    // out-edge sum it keyed on IS `edges`: one record per edge).
-    out.partitioned = collect_bucketed_;
-    if (pre_combine_) {
-      if (out.partitioned) {
-        out.applies =
-            DrainPartitionedPreCombined(program, meta, num_buffers, jit, cost);
-      } else {
-        out.applies =
-            DrainSerialPreCombined(program, meta, num_buffers, jit, cost);
-      }
-    } else {
-      out.applies = out.edges;
-      if (out.partitioned) {
-        DrainPartitioned(program, meta, num_buffers, jit, cost);
-      } else {
-        DrainSerial(program, meta, num_buffers, jit, cost);
-      }
-    }
-    return out;
-  }
-
-  // Serial ordered drain (the host_threads == 1 path, also chosen for small
-  // iterations): per record, the statement sequence is exactly the tail of
-  // the old sequential edge loop; per source, the ConsumeActivity lands
-  // after its records, where the sequential loop consumed.
-  void DrainSerial(const Program& program, VertexMeta<Value>& meta,
-                   uint32_t num_buffers, JitController& jit,
-                   CostCounters& cost) {
-    for (uint32_t b = 0; b < num_buffers; ++b) {
-      // Per-N-chunk cancellation poll (single-threaded drain only — the
-      // partitioned drain's pool workers must not touch control_break_).
-      if (watch_cancel_ && (b & 31u) == 0 && CancelOrDeadline()) {
-        return;
-      }
-      const PushBuffer<Value>& buf = push_buffers_[b];
-      uint32_t r = 0;
-      for (const PushSourceSpan& span : buf.sources()) {
-        for (uint32_t i = 0; i < span.num_records; ++i, ++r) {
-          const VertexId u = buf.dst(r);
-          const Value applied =
-              program.Apply(u, buf.cand(r), meta.curr(u), Direction::kPush);
-          if (options_.use_atomic_updates) {
-            // AFC-style: every candidate lands as a device atomic;
-            // concurrent candidates for the same destination serialize
-            // (Figure 5's aggregation overhead).
-            cost.atomic_ops += 1;
-            if (touch_stamp_[u] == stamp_) {
-              cost.atomic_conflicts += 1;
-            }
-            touch_stamp_[u] = stamp_;
-          }
-          if (program.ValueChanged(meta.curr(u), applied)) {
-            meta.curr(u) = applied;
-            if (!options_.use_atomic_updates) {
-              cost.scattered_words += 1;  // single writer, no atomic (ACC)
-            }
-            MaybeRecord(program, meta, u, buf.worker(r), jit, cost);
-          }
-        }
-        Consume(program, meta, span.src, Direction::kPush);
-      }
-    }
-  }
-
-  // Owner-computes partitioned drain: one worker per destination range, then
-  // the deterministic merges of the per-range side channels.
-  void DrainPartitioned(const Program& program, VertexMeta<Value>& meta,
-                        uint32_t num_buffers, JitController& jit,
-                        CostCounters& cost) {
+    const uint32_t ranges = collect_bucketed_ ? replay_ranges_ : 1;
+    out.partitioned = ranges > 1;
     const bool profile = options_.profile_push_replay;
     PartitionedDrain(
-        pool_, host_threads_, replay_ranges_,
+        pool_, host_threads_, ranges,
         [&](uint32_t p) {
-          ReplayScratch& s = replay_scratch_[p];
-          ResetScratch(s);
-          const double t0 = profile ? NowMs() : 0.0;
-          DrainRange(program, meta, num_buffers, p, s);
-          if (profile) {
-            s.wall_ms = NowMs() - t0;
-          }
+          DrainRange(program, meta, num_buffers, p,
+                     /*on_run_thread=*/ranges == 1, replay_scratch_[p]);
         },
         [&](uint32_t p) {
-          cost += replay_scratch_[p].cost;
+          const ReplayScratch& s = replay_scratch_[p];
+          cost += s.cost;
+          out.applies += s.applies;
           if (profile) {
-            profile_.range_ms[p] += replay_scratch_[p].wall_ms;
+            profile_.range_ms[p] += s.wall_ms;
+            if (pre_combine_) {
+              profile_.fold_ms += s.fold_ms;
+              profile_.apply_ms += s.wall_ms - s.fold_ms;
+            }
           }
         });
-    // Deferred side channels back into exact serial record order: filter
-    // records into the shared bins (overflow latching and charge order match
-    // the serial drain), then Apply effects into the program (SSSP's
-    // pending-list order matches).
     MergeByPosition(
+        ranges,
         [&](uint32_t p) { return replay_scratch_[p].activations.size(); },
         [&](uint32_t p, size_t h) { return replay_scratch_[p].activations[h].pos; },
         [&](uint32_t p, size_t h) {
@@ -1455,87 +1377,102 @@ class Engine {
         });
     if constexpr (kHasDeferredApply) {
       MergeByPosition(
+          ranges,
           [&](uint32_t p) { return replay_scratch_[p].effect_pos.size(); },
           [&](uint32_t p, size_t h) { return replay_scratch_[p].effect_pos[h]; },
           [&](uint32_t p, size_t h) {
             program.ReplayApplyEffect(replay_scratch_[p].effects[h]);
           });
     }
+    return out;
   }
 
-  // One range worker's drain: walk every buffer in ascending chunk order,
-  // applying only owned records (ascending record order within the bucket),
-  // with owned sources' ConsumeActivity interleaved at their serial span
-  // positions (a span's consume runs after owned records below its end_pos
-  // and before the one at it — see PushSpanEvent).
+  // One range's drain (see the phase comment above ProcessPush). Walks every
+  // buffer in ascending chunk order over the records range `p` owns — all of
+  // them for an unbucketed buffer — and either
+  //   * replays each record (per record), with the owned sources'
+  //     ConsumeActivity interleaved at their serial span positions, or
+  //   * folds each record into its destination's accumulator (pre-combined),
+  //     then applies once per touched destination in first-touch order, then
+  //     consumes the owned sources in span order.
+  // Only the drain on the Run thread polls cancellation (every 32 buffers):
+  // pool workers must not touch control_break_.
   void DrainRange(const Program& program, VertexMeta<Value>& meta,
-                  uint32_t num_buffers, uint32_t p, ReplayScratch& s) {
+                  uint32_t num_buffers, uint32_t p, bool on_run_thread,
+                  ReplayScratch& s) {
+    s.cost = CostCounters{};
+    s.activations.clear();
+    s.effects.clear();
+    s.effect_pos.clear();
+    s.touched.clear();
+    s.applies = 0;
+    s.wall_ms = 0.0;
+    s.fold_ms = 0.0;
+    const bool profile = options_.profile_push_replay;
+    const double t0 = profile ? NowMs() : 0.0;
+    const auto consume = [&](VertexId src) {
+      Consume(program, meta, src, Direction::kPush);
+    };
+    // Counted in a local: a per-record store to `s` measurably slows the
+    // replay loop.
+    uint64_t replayed = 0;
     for (uint32_t b = 0; b < num_buffers; ++b) {
+      if (on_run_thread && watch_cancel_ && (b & 31u) == 0 &&
+          CancelOrDeadline()) {
+        return;  // the run breaks at the next stage boundary
+      }
       const PushBuffer<Value>& buf = push_buffers_[b];
-      const std::vector<uint32_t>& owned = buf.RangeRecords(p);
-      if constexpr (kHasConsume) {
-        const std::vector<PushSpanEvent>& spans = buf.RangeSpans(p);
-        size_t si = 0;
-        for (const uint32_t idx : owned) {
-          while (si < spans.size() && spans[si].end_pos <= idx) {
-            Consume(program, meta, spans[si].src, Direction::kPush);
-            ++si;
-          }
-          ReplayRecord(program, meta, buf.record(idx), Pos(b, idx), s);
-        }
-        for (; si < spans.size(); ++si) {
-          Consume(program, meta, spans[si].src, Direction::kPush);
-        }
+      if (pre_combine_) {
+        buf.ForEachOwned(
+            p,
+            [&](uint32_t idx) {
+              FoldRecord(program, buf.dst(idx), buf.worker(idx), buf.cand(idx),
+                         Pos(b, idx), s.touched);
+            },
+            [](VertexId) {});
       } else {
-        for (const uint32_t idx : owned) {
-          ReplayRecord(program, meta, buf.record(idx), Pos(b, idx), s);
+        buf.ForEachOwned(
+            p,
+            [&](uint32_t idx) {
+              ReplayRecord(program, meta, buf.record(idx), Pos(b, idx), s);
+              ++replayed;
+            },
+            consume);
+      }
+    }
+    if (!pre_combine_) {
+      s.applies = replayed;
+    } else {
+      if (profile) {
+        s.fold_ms = NowMs() - t0;
+      }
+      for (const FoldTouch& t : s.touched) {
+        ReplayRecord(program, meta,
+                     PushRecord<Value>{t.dst, t.worker, fold_acc_[t.dst]},
+                     t.pos, s);
+      }
+      s.applies = s.touched.size();
+      if constexpr (kHasConsume) {
+        for (uint32_t b = 0; b < num_buffers; ++b) {
+          push_buffers_[b].ForEachOwnedSource(p, consume);
         }
       }
     }
+    if (profile) {
+      s.wall_ms = NowMs() - t0;
+    }
   }
 
-  // --- pre-combined drains (StatsContract::kPerDestination) ---
-  //
-  // For kAssociativeOnly programs the replay may fold a destination's
-  // records with Combine before Apply sees them. Both pre-combined drains
-  // run the same three per-worker passes, so they are bit-identical to each
-  // other for any host_threads:
-  //
-  //   FOLD: walk the worker's records in ascending (chunk, record) order,
-  //   left-folding each destination's candidates into fold_acc_[dst]
-  //   (fold_stamp_ guards staleness; the fold order for one destination is
-  //   exactly the serial record order restricted to it, identical however
-  //   the destinations are distributed over workers). First touch files a
-  //   FoldTouch carrying the record's global position and worker lane.
-  //
-  //   APPLY: walk the touched list in first-touch order (= ascending first-
-  //   record position) and run the per-record statement sequence ONCE per
-  //   destination with the folded candidate — exactly one Apply, one
-  //   touch-stamp/atomic charge and at most one value write + activation per
-  //   touched destination per push iteration. Activations carry the first-
-  //   record position, so the deferred merge (partitioned) and the in-order
-  //   replay (serial) sequence the shared filter bins identically.
-  //
-  //   CONSUME: run ConsumeActivity for the worker's sources AFTER its
-  //   applies. Per vertex the order is always fold-apply-consume (one owner
-  //   runs all three), and operations on distinct vertices touch disjoint
-  //   state, so cross-worker interleaving is unobservable. (The per-record
-  //   drain instead interleaves consumes at exact span positions — that
-  //   distinction is part of the contract split: per-destination semantics
-  //   hand EVERY same-phase arrival to the consume, which for residual
-  //   programs conserves activity just like the serial interleaving, only
-  //   with different FP rounding.)
-  //
-  // The pull path needs none of this: a pull gather already combines all
-  // contributors before its single Apply, i.e. pull iterations are
-  // pre-combined by construction under either contract.
-
-  // FOLD pass step shared by both pre-combined drains. A collect-side
-  // pre-folded record continues the destination's left-fold seamlessly: its
+  // The FOLD step: left-folds one record's candidate into its destination's
+  // accumulator. fold_stamp_ guards staleness; the fold order for one
+  // destination is exactly the serial record order restricted to it,
+  // however the destinations are distributed over ranges. First touch files
+  // a FoldTouch carrying the record's global position and worker lane. A
+  // collect-side pre-folded record continues the left-fold seamlessly: its
   // candidate is the fold of a chunk-contiguous run of the original
-  // candidates, so chaining chunk folds here reproduces the global
-  // left-fold expression of the fold-free stream (bit-exactly for a fixed
-  // chunk plan — which is why a folding collect pins PlanChunksStable).
+  // candidates, so chaining chunk folds here reproduces the global left-fold
+  // of the fold-free stream (bit-exactly for a fixed chunk plan — which is
+  // why a folding collect pins PlanChunksStable).
   void FoldRecord(const Program& program, VertexId u, uint32_t worker,
                   const Value& cand, uint64_t pos,
                   std::vector<FoldTouch>& touched) {
@@ -1548,165 +1485,18 @@ class Engine {
     }
   }
 
-  // Serial pre-combined drain (host_threads == 1 or small iterations): fold
-  // over every record of every buffer, apply per destination in first-touch
-  // order, then consume sources in span order. Deferred streams land in
-  // scratch already position-sorted and are replayed immediately — the same
-  // sequence the partitioned drain's merge produces. Returns the apply count
-  // (= touched destinations).
-  uint64_t DrainSerialPreCombined(const Program& program,
-                                  VertexMeta<Value>& meta, uint32_t num_buffers,
-                                  JitController& jit, CostCounters& cost) {
-    if (replay_scratch_.empty()) {
-      replay_scratch_.resize(1);
-    }
-    ReplayScratch& s = replay_scratch_[0];
-    ResetScratch(s);
-    const bool profile = options_.profile_push_replay;
-    const double t0 = profile ? NowMs() : 0.0;
-    for (uint32_t b = 0; b < num_buffers; ++b) {
-      // Same per-N-chunk cancellation poll as DrainSerial (this is the
-      // other single-threaded drain).
-      if (watch_cancel_ && (b & 31u) == 0 && CancelOrDeadline()) {
-        return 0;
-      }
-      const PushBuffer<Value>& buf = push_buffers_[b];
-      for (uint32_t idx = 0; idx < buf.size(); ++idx) {
-        FoldRecord(program, buf.dst(idx), buf.worker(idx), buf.cand(idx),
-                   Pos(b, idx), s.touched);
-      }
-    }
-    const double t1 = profile ? NowMs() : 0.0;
-    for (const FoldTouch& t : s.touched) {
-      ReplayRecord(program, meta,
-                   PushRecord<Value>{t.dst, t.worker, fold_acc_[t.dst]}, t.pos,
-                   s);
-    }
-    if constexpr (kHasConsume) {
-      for (uint32_t b = 0; b < num_buffers; ++b) {
-        for (const PushSourceSpan& span : push_buffers_[b].sources()) {
-          Consume(program, meta, span.src, Direction::kPush);
-        }
-      }
-    }
-    cost += s.cost;
-    for (const DeferredActivation& a : s.activations) {
-      jit.ReplayActivation(a, cost);
-    }
-    if constexpr (kHasDeferredApply) {
-      for (const ApplyEffect& e : s.effects) {
-        program.ReplayApplyEffect(e);
-      }
-    }
-    if (profile) {
-      profile_.fold_ms += t1 - t0;
-      profile_.apply_ms += NowMs() - t1;
-    }
-    return s.touched.size();
-  }
-
-  // Partitioned pre-combined drain: the owner-computes machinery of
-  // DrainPartitioned with DrainRangePreCombined as the per-range body.
-  // Returns the apply count summed over ranges (each destination counted by
-  // its single owner).
-  uint64_t DrainPartitionedPreCombined(const Program& program,
-                                       VertexMeta<Value>& meta,
-                                       uint32_t num_buffers, JitController& jit,
-                                       CostCounters& cost) {
-    const bool profile = options_.profile_push_replay;
-    uint64_t applies = 0;
-    PartitionedDrain(
-        pool_, host_threads_, replay_ranges_,
-        [&](uint32_t p) {
-          ReplayScratch& s = replay_scratch_[p];
-          ResetScratch(s);
-          const double t0 = profile ? NowMs() : 0.0;
-          DrainRangePreCombined(program, meta, num_buffers, p, s);
-          if (profile) {
-            s.wall_ms = NowMs() - t0;
-          }
-        },
-        [&](uint32_t p) {
-          cost += replay_scratch_[p].cost;
-          applies += replay_scratch_[p].touched.size();
-          if (profile) {
-            profile_.range_ms[p] += replay_scratch_[p].wall_ms;
-            profile_.fold_ms += replay_scratch_[p].fold_ms;
-            profile_.apply_ms += replay_scratch_[p].apply_ms;
-          }
-        });
-    MergeByPosition(
-        [&](uint32_t p) { return replay_scratch_[p].activations.size(); },
-        [&](uint32_t p, size_t h) { return replay_scratch_[p].activations[h].pos; },
-        [&](uint32_t p, size_t h) {
-          jit.ReplayActivation(replay_scratch_[p].activations[h], cost);
-        });
-    if constexpr (kHasDeferredApply) {
-      MergeByPosition(
-          [&](uint32_t p) { return replay_scratch_[p].effect_pos.size(); },
-          [&](uint32_t p, size_t h) { return replay_scratch_[p].effect_pos[h]; },
-          [&](uint32_t p, size_t h) {
-            program.ReplayApplyEffect(replay_scratch_[p].effects[h]);
-          });
-    }
-    return applies;
-  }
-
-  // One range worker's pre-combined drain: fold owned records, apply per
-  // owned destination, consume owned sources (see the pass comment above).
-  void DrainRangePreCombined(const Program& program, VertexMeta<Value>& meta,
-                             uint32_t num_buffers, uint32_t p,
-                             ReplayScratch& s) {
-    const bool profile = options_.profile_push_replay;
-    const double t0 = profile ? NowMs() : 0.0;
-    for (uint32_t b = 0; b < num_buffers; ++b) {
-      const PushBuffer<Value>& buf = push_buffers_[b];
-      for (const uint32_t idx : buf.RangeRecords(p)) {
-        FoldRecord(program, buf.dst(idx), buf.worker(idx), buf.cand(idx),
-                   Pos(b, idx), s.touched);
-      }
-    }
-    if (profile) {
-      s.fold_ms = NowMs() - t0;
-    }
-    for (const FoldTouch& t : s.touched) {
-      ReplayRecord(program, meta,
-                   PushRecord<Value>{t.dst, t.worker, fold_acc_[t.dst]}, t.pos,
-                   s);
-    }
-    if constexpr (kHasConsume) {
-      for (uint32_t b = 0; b < num_buffers; ++b) {
-        for (const PushSpanEvent& span : push_buffers_[b].RangeSpans(p)) {
-          Consume(program, meta, span.src, Direction::kPush);
-        }
-      }
-    }
-    if (profile) {
-      s.apply_ms = NowMs() - t0 - s.fold_ms;
-    }
-  }
-
-  static void ResetScratch(ReplayScratch& s) {
-    s.cost = CostCounters{};
-    s.activations.clear();
-    s.effects.clear();
-    s.effect_pos.clear();
-    s.touched.clear();
-    s.fold_ms = 0.0;
-    s.apply_ms = 0.0;
-  }
-
   // Global serial position of record `index` in chunk buffer `buffer` — the
   // merge key every deferred stream is sequenced by.
   static uint64_t Pos(uint32_t buffer, uint32_t index) {
     return (static_cast<uint64_t>(buffer) << 32) | index;
   }
 
-  // The per-record statement sequence of DrainSerial, with the two shared
-  // side channels deferred: the online-filter record and any Apply side
-  // effect go to the per-range scratch, tagged with the record's global
-  // position `pos` for the serial-order merge. Everything else it touches is
-  // owned by this worker's range. The pre-combined drains reuse it with a
+  // The per-record statement sequence of a sequential walk — Apply, the
+  // atomic-contention stamp, the curr write, the activation decision — with
+  // the two shared side channels deferred: the online-filter record and any
+  // Apply side effect go to the range scratch, tagged with the record's
+  // global position `pos` for the serial-order merge. Everything else it
+  // touches is owned by the range. The pre-combined drain calls it with a
   // synthesized record carrying the folded candidate and the destination's
   // first-record position.
   void ReplayRecord(const Program& program, VertexMeta<Value>& meta,
@@ -1725,6 +1515,9 @@ class Engine {
       applied = program.Apply(u, rec.cand, meta.curr(u), Direction::kPush);
     }
     if (options_.use_atomic_updates) {
+      // AFC-style: every candidate lands as a device atomic; concurrent
+      // candidates for the same destination serialize (Figure 5's
+      // aggregation overhead).
       s.cost.atomic_ops += 1;
       if (touch_stamp_[u] == stamp_) {
         s.cost.atomic_conflicts += 1;
@@ -1746,29 +1539,30 @@ class Engine {
     }
   }
 
-  // K-way merge of per-range position-sorted streams back into the global
-  // serial record order: size(p)/pos(p, h) describe range p's stream,
-  // emit(p, h) consumes the chosen head. Each stream is position-sorted
-  // (range workers walk the buffers in order) and a position belongs to
-  // exactly one range (one record, one owner), so strict-< selection is
-  // unambiguous and within-range order is preserved. The linear head scan
-  // is O(streams) per element; with streams capped at host_threads it beats
-  // a heap's constant factor — revisit if range counts grow past ~32.
+  // K-way merge of the first `ranges` position-sorted streams back into the
+  // global serial record order: size(p)/pos(p, h) describe range p's
+  // stream, emit(p, h) consumes the chosen head. Each stream is
+  // position-sorted (range workers walk the buffers in order) and a position
+  // belongs to exactly one range (one record, one owner), so strict-<
+  // selection is unambiguous and within-range order is preserved. For one
+  // range it is a linear pass. The linear head scan is O(ranges) per
+  // element; with ranges capped at host_threads it beats a heap's constant
+  // factor — revisit if range counts grow past ~32.
   template <typename SizeFn, typename PosFn, typename EmitFn>
-  void MergeByPosition(const SizeFn& size, const PosFn& pos,
+  void MergeByPosition(uint32_t ranges, const SizeFn& size, const PosFn& pos,
                        const EmitFn& emit) {
-    merge_heads_.assign(replay_ranges_, 0);
+    merge_heads_.assign(ranges, 0);
     while (true) {
-      uint32_t best = replay_ranges_;
+      uint32_t best = ranges;
       uint64_t best_pos = ~0ull;
-      for (uint32_t p = 0; p < replay_ranges_; ++p) {
+      for (uint32_t p = 0; p < ranges; ++p) {
         const size_t h = merge_heads_[p];
         if (h < size(p) && pos(p, h) < best_pos) {
           best_pos = pos(p, h);
           best = p;
         }
       }
-      if (best == replay_ranges_) {
+      if (best == ranges) {
         break;
       }
       emit(best, merge_heads_[best]++);
@@ -1783,17 +1577,21 @@ class Engine {
   // range, so each slice is first-touched by a pool thread.
   void SetupReplayPartition() {
     const auto n = static_cast<size_t>(graph_.vertex_count());
-    replay_ranges_ = 1;
-    if (!options_.parallel_push_replay || pool_ == nullptr ||
-        host_threads_ <= 1 || n == 0) {
-      if (options_.profile_push_replay) {
-        profile_ = PushReplayProfile{};
-        profile_.ranges = 1;
-      }
+    replay_ranges_ = pool_ == nullptr || n == 0
+                         ? 1
+                         : static_cast<uint32_t>(
+                               std::min<size_t>(host_threads_, n));
+    if (replay_scratch_.size() < replay_ranges_) {
+      replay_scratch_.resize(replay_ranges_);
+    }
+    if (options_.profile_push_replay) {
+      profile_ = PushReplayProfile{};
+      profile_.ranges = replay_ranges_;
+      profile_.range_ms.assign(replay_ranges_, 0.0);
+    }
+    if (replay_ranges_ == 1) {
       return;
     }
-    replay_ranges_ = static_cast<uint32_t>(
-        std::min<size_t>(host_threads_, n));
     const auto& in_offsets = graph_.in().row_offsets();
     const std::vector<size_t> boundaries = BalancedRangeBoundaries(
         n, replay_ranges_,
@@ -1809,14 +1607,6 @@ class Engine {
           }
         },
         [](uint32_t) {});
-    if (replay_scratch_.size() < replay_ranges_) {
-      replay_scratch_.resize(replay_ranges_);
-    }
-    if (options_.profile_push_replay) {
-      profile_ = PushReplayProfile{};
-      profile_.ranges = replay_ranges_;
-      profile_.range_ms.assign(replay_ranges_, 0.0);
-    }
   }
 
   // --- pull: every (non-skipped) vertex gathers from contributing
@@ -2052,11 +1842,6 @@ class Engine {
   // Vertices with incoming edges — the destination universe of the reuse
   // estimate. Computed once per run when the collect-side fold is armed.
   uint64_t in_destinations_ = 0;
-  // Record-stream telemetry accumulated across the run's push iterations
-  // (copied into RunStats at the end of Run).
-  uint64_t run_record_candidates_ = 0;
-  uint64_t run_records_buffered_ = 0;
-  uint32_t run_collect_fold_iterations_ = 0;
   std::vector<CollectFoldTable> fold_tables_;
   // Pre-combined drain state: per-vertex fold accumulators guarded by an
   // iteration stamp (a vertex's fold is owned by exactly one worker, so no
@@ -2080,11 +1865,7 @@ class Engine {
   // breaks at the next stage boundary with break_outcome_ as the verdict.
   bool control_break_ = false;
   RunOutcome break_outcome_ = RunOutcome::kCompleted;
-  // Degradation-ladder latches (per run, checkpointed so a resumed run
-  // stays on the rung the interrupted one reached).
-  bool degrade_shed_fold_ = false;
-  bool degrade_serial_drain_ = false;
-  std::vector<DowngradeEvent> run_downgrades_;
+  LoopState loop_;
 };
 
 }  // namespace simdx

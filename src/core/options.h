@@ -62,16 +62,12 @@ struct EngineOptions {
 
   // --- Host-runtime knobs (wall-clock only; never change simulated stats).
 
-  // Owner-computes parallel replay of the push phase: destination ranges
-  // partitioned by in-degree mass, one replay worker per range (engine.h).
-  // Off forces the ordered serial drain regardless of host_threads; at
-  // host_threads == 1 the serial drain is selected either way.
-  bool parallel_push_replay = true;
-
-  // Push iterations that buffered fewer records than this take the serial
-  // drain even when the partitioned replay is on (identical results; the
-  // partition bookkeeping isn't worth a few thousand applies). Tests set 0
-  // to force the partitioned path on tiny graphs.
+  // Push iterations whose frontier out-edge sum (= records buffered) reaches
+  // this drain over one destination range per host thread (owner-computes,
+  // engine.h); smaller ones drain as one range on the calling thread
+  // (identical results; the bucketing isn't worth a few thousand applies).
+  // Tests set 0 to force the multi-range drain on tiny graphs and SIZE_MAX
+  // to force the single range.
   size_t parallel_replay_min_records = 2048;
 
   // Associative pre-combining replay: for programs declaring
@@ -111,11 +107,6 @@ struct EngineOptions {
   // every push iteration (tests).
   double pre_combine_collect_min_fold = 2.0;
 
-  // Initialize the metadata and per-vertex stamp arrays through ParallelFor
-  // so their pages are first touched by the threads that will scan them
-  // (NUMA placement). Identical values either way.
-  bool first_touch_init = true;
-
   // Record host wall-clock collect/replay splits and per-range replay busy
   // times (Engine::push_profile(), bench/push_replay). Off by default to
   // keep clock reads out of the hot loop.
@@ -128,9 +119,10 @@ struct EngineOptions {
   // HOST-side memory ceiling for the push record stream (bytes of push
   // buffers per iteration). 0 = unlimited. Exceeding it triggers the
   // graceful-degradation ladder (engine.h Degrade): shed the collect-fold
-  // tables first, then fall back to the serial drain — each step recorded as
-  // a DowngradeEvent instead of aborting. Simulated stats are invariant to
-  // every rung, so the fingerprint oracle still holds under pressure.
+  // tables first, then fall back to the single-range drain — each step
+  // recorded as a DowngradeEvent instead of aborting. Simulated stats are
+  // invariant to every rung, so the fingerprint oracle still holds under
+  // pressure.
   // INCLUDED in SemanticOptionsDigest (it steers the run's trajectory).
   size_t host_memory_budget_bytes = 0;
 

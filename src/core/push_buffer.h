@@ -15,49 +15,30 @@
 //      record stream then carries one record per (chunk, destination)
 //      whose candidate is the left-fold of its constituents in record order
 //      and whose fold count says how many candidates it absorbed.
-//   2. REPLAY: the buffers drain in ascending chunk index order — which is
-//      exactly work-list order, independent of grain and thread count. At
-//      host_threads == 1 (or for small iterations) a single serial pass
-//      performs Apply, the `curr` writes, the atomic-contention accounting,
-//      the online-filter recording and ConsumeActivity in the statement
-//      order a sequential walk would. Otherwise the OWNER-COMPUTES parallel
-//      replay runs: the destination-vertex space is split into P disjoint
-//      ranges (degree-weighted so ranges balance by incoming records), and
-//      each replay worker walks all buffers in ascending chunk order
-//      applying only the records whose `dst` falls in its owned range.
-//      Every piece of state a record touches — curr(dst), the touch/record
-//      stamps, the park decision — is keyed by one vertex, and all of a
-//      vertex's records reach its single owner in ascending chunk-then-
-//      record order, so the PER-DESTINATION Apply order is exactly the
-//      serial order and every value, stamp and conflict count is
-//      bit-identical to the serial drain. Order-sensitive side channels
-//      (cost counters, online-filter records, Apply side effects like SSSP
-//      bucket parks) go to per-range scratch and are merged back
-//      deterministically — counters in range order (pure integer sums),
-//      record streams by their (chunk, record) position, i.e. the global
-//      serial order.
+//   2. REPLAY: one drain (engine.h, the phase comment above ProcessPush)
+//      walks the buffers in ascending chunk index order — exactly work-list
+//      order, independent of grain and thread count — once per destination
+//      range. A range visits only the records whose `dst` it owns and the
+//      sources it owns (ForEachOwned / ForEachOwnedSource), and either
+//      replays them per record or folds them with Combine before one Apply
+//      per destination. The buffers are oblivious to that choice: the fold
+//      is a different walk over the same record sequences, and a
+//      collect-side pre-folded stream drains through it unchanged (a
+//      chunk's folded record IS the chunk-contiguous prefix of the
+//      destination's global left-fold).
 //
-// Both replay flavors exist in a PRE-COMBINED form as well (engine.h,
-// StatsContract::kPerDestination): for programs whose Combine is declared
-// kAssociativeOnly, the drain left-folds each destination's records — in the
-// same ascending (chunk, record) order the buffers store them in — and
-// issues one Apply per touched destination instead of one per record. The
-// buffers themselves are oblivious: the fold is a different walk over the
-// same record sequences, and a collect-side pre-folded stream drains through
-// it unchanged (a chunk's folded record IS the chunk-contiguous prefix of
-// the destination's global left-fold, so the drain-side fold continues it
-// without re-associating anything).
-//
-// To give replay workers their records without scanning foreign ones, the
-// collect pass optionally bucketizes: BeginCollect(P, ...) makes every
-// Append file the record's index under its destination's range, and — when
-// the program defines ConsumeActivity — every closed source span file a
-// SpanEvent under the SOURCE's range, tagged with the record index the span
-// ends at. A replay worker then merges its record bucket and its span
-// bucket by position, which reproduces the serial interleaving of Apply and
-// ConsumeActivity for every vertex it owns (a source that also receives
-// same-phase updates sees them land around its consume exactly as the
-// serial drain would).
+// Ranges: an UNBUCKETED buffer (BeginCollect with ranges <= 1) is one range
+// — range 0 owns every record and every source span, walked straight off the
+// record lanes and sources() with no index list built. When an iteration
+// drains over P > 1 ranges, the collect BUCKETIZES: BeginCollect(P, ...)
+// makes every Append file the record's index under its destination's range,
+// and — when the program defines ConsumeActivity — every closed source span
+// file a PushSpanEvent under the SOURCE's range, tagged with the record
+// index the span ends at. A range then merges its record bucket and its
+// span bucket by position, which reproduces the one-range interleaving of
+// Apply and ConsumeActivity for every vertex it owns (a source that also
+// receives same-phase updates sees them land around its consume exactly as
+// in the one-range walk).
 //
 // Record layout (the record-stream memory diet): storage is struct-of-arrays
 // so every drain walk touches only the lanes it reads —
@@ -118,7 +99,7 @@ struct PushSourceSpan {
 // A closed source span filed under the source's destination range: the
 // owner must run ConsumeActivity for `src` after applying its owned records
 // with index < `end_pos` and before the one at `end_pos` (if any) — the
-// serial consume position.
+// one-range consume position.
 struct PushSpanEvent {
   uint32_t end_pos;
   VertexId src;
@@ -130,8 +111,7 @@ class PushBuffer {
   // Collect-side charges for this chunk (header + adjacency + per-edge
   // words); merged into the iteration counters in chunk order. Replay-side
   // charges (atomics, value-changed writes, filter records) are accumulated
-  // by the drain — directly into the iteration counters (serial drain) or
-  // into per-range scratch merged in range order (partitioned drain).
+  // by the drain into per-range scratch, merged in range order.
   CostCounters cost;
   uint64_t edges = 0;
 
@@ -253,7 +233,7 @@ class PushBuffer {
 
   // Bytes the record stream of this chunk occupies right now: the armed
   // record lanes plus span and bucket bookkeeping. Bucket-index bytes depend
-  // on whether the partitioned drain was armed (a host_threads decision), so
+  // on whether the collect bucketed (a host_threads decision), so
   // this is host telemetry — never a simulated statistic.
   size_t FootprintBytes() const {
     size_t per_record = sizeof(VertexId) + sizeof(Value);
@@ -278,14 +258,55 @@ class PushBuffer {
 
   size_t capacity() const { return dsts_.capacity(); }
 
-  // Indices into the record lanes owned by range `r`, ascending (= serial
-  // order restricted to that range's destinations). Valid only after a
-  // BeginCollect with ranges > 1.
-  const std::vector<uint32_t>& RangeRecords(uint32_t r) const {
-    return range_records_[r];
+  // Walks the records range `r` owns in ascending index order, calling
+  // on_record(index), and calls on_consume(src) for each source span `r`
+  // owns at its one-range consume position: after the owned records below
+  // the span's end and before the one at it. An unbucketed buffer is one
+  // range: every record, and every span in sources() order. Bucketed
+  // without span tracking, no span events exist and on_consume never runs.
+  template <typename OnRecord, typename OnConsume>
+  void ForEachOwned(uint32_t r, OnRecord&& on_record,
+                    OnConsume&& on_consume) const {
+    if (ranges_ == 0) {
+      uint32_t idx = 0;
+      for (const PushSourceSpan& span : sources_) {
+        for (const uint32_t end = idx + span.num_records; idx < end; ++idx) {
+          on_record(idx);
+        }
+        on_consume(span.src);
+      }
+      return;
+    }
+    const PushSpanEvent* span = nullptr;
+    const PushSpanEvent* span_end = nullptr;
+    if (track_spans_) {
+      span = range_spans_[r].data();
+      span_end = span + range_spans_[r].size();
+    }
+    for (const uint32_t idx : range_records_[r]) {
+      for (; span != span_end && span->end_pos <= idx; ++span) {
+        on_consume(span->src);
+      }
+      on_record(idx);
+    }
+    for (; span != span_end; ++span) {
+      on_consume(span->src);
+    }
   }
-  const std::vector<PushSpanEvent>& RangeSpans(uint32_t r) const {
-    return range_spans_[r];
+
+  // The source half of ForEachOwned alone: on_consume(src) for every source
+  // span range `r` owns, in span order.
+  template <typename OnConsume>
+  void ForEachOwnedSource(uint32_t r, OnConsume&& on_consume) const {
+    if (ranges_ == 0) {
+      for (const PushSourceSpan& span : sources_) {
+        on_consume(span.src);
+      }
+    } else if (track_spans_) {
+      for (const PushSpanEvent& span : range_spans_[r]) {
+        on_consume(span.src);
+      }
+    }
   }
 
  private:

@@ -45,7 +45,7 @@ inline const char* ToString(RunOutcome o) {
 }
 
 // One graceful-degradation step taken mid-run (memory pressure shedding the
-// collect fold, falling back to the serial drain). Recorded instead of
+// collect fold, falling back to the single-range drain). Recorded instead of
 // aborting; the simulated stats are invariant to every rung of the ladder.
 struct DowngradeEvent {
   uint32_t iteration = 0;

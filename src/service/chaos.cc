@@ -308,7 +308,7 @@ void ChaosProxy::Loop() {
   // Reads a chunk's worth from `src`, runs the fault draws, queues the
   // survivors onto `pipe`. Returns false when the LINK must die (reset
   // fault or a hard socket error).
-  auto ingest = [&](Link& link, int src, Pipe& pipe) -> bool {
+  auto ingest = [&](int src, Pipe& pipe) -> bool {
     uint8_t buf[4096];  // small on purpose: more chunks, more fault rolls
     const ssize_t n = ::read(src, buf, sizeof(buf));
     if (n == 0) {
@@ -354,24 +354,25 @@ void ChaosProxy::Loop() {
                              std::chrono::duration<double, std::milli>(
                                  spec_.stall_ms)));
     }
-    std::vector<uint8_t> data(buf, buf + n);
-    size_t cut = data.size();
-    if (split && data.size() > 1) {
+    const auto size = static_cast<size_t>(n);
+    size_t cut = size;
+    if (split && size > 1) {
       ++stats_.splits;
-      cut = 1 + static_cast<size_t>(u01(rng) *
-                                    static_cast<double>(data.size() - 1));
+      cut = 1 + static_cast<size_t>(u01(rng) * static_cast<double>(size - 1));
     }
-    auto enqueue = [&](std::vector<uint8_t> bytes) {
-      if (!bytes.empty()) {
-        pipe.q.push_back(Chunk{std::move(bytes), due});
+    // Queues buf[begin, end) as one chunk; empty slices are skipped.
+    auto enqueue = [&](size_t begin, size_t end) {
+      if (begin < end) {
+        pipe.q.push_back(
+            Chunk{std::vector<uint8_t>(buf + begin, buf + end), due});
       }
     };
-    enqueue(std::vector<uint8_t>(data.begin(), data.begin() + cut));
-    enqueue(std::vector<uint8_t>(data.begin() + cut, data.end()));
+    enqueue(0, cut);
+    enqueue(cut, size);
     if (dup) {
       ++stats_.dups;
-      enqueue(std::vector<uint8_t>(data.begin(), data.begin() + cut));
-      enqueue(std::vector<uint8_t>(data.begin() + cut, data.end()));
+      enqueue(0, cut);
+      enqueue(cut, size);
     }
     return true;
   };
@@ -496,11 +497,11 @@ void ChaosProxy::Loop() {
       bool alive = true;
       if (alive && (c_re & (POLLIN | POLLHUP | POLLERR)) != 0 &&
           !link.c2b.eof) {
-        alive = ingest(link, link.cfd, link.c2b);
+        alive = ingest(link.cfd, link.c2b);
       }
       if (alive && (b_re & (POLLIN | POLLHUP | POLLERR)) != 0 &&
           !link.b2c.eof) {
-        alive = ingest(link, link.bfd, link.b2c);
+        alive = ingest(link.bfd, link.b2c);
       }
       if (!alive) {
         CloseLink(link);

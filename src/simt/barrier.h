@@ -42,26 +42,6 @@ BarrierSimResult SimulateGlobalBarrier(uint32_t grid_ctas, uint32_t resident_cap
 // tests across a parameter sweep).
 uint32_t DeadlockFreeGridSize(const DeviceSpec& device, const KernelResources& kernel);
 
-// A host-side reusable counting barrier with the same arrive/depart phase
-// structure as the device lock-array protocol. Engines use it to mark
-// iteration boundaries inside fused kernels; it also counts crossings for
-// the cost model.
-class GlobalBarrier {
- public:
-  explicit GlobalBarrier(uint32_t parties) : parties_(parties) {}
-
-  // Single-threaded simulation: one call represents all parties arriving and
-  // departing. Returns the crossing index.
-  uint64_t ArriveAndDepartAll() { return ++crossings_; }
-
-  uint64_t crossings() const { return crossings_; }
-  uint32_t parties() const { return parties_; }
-
- private:
-  uint32_t parties_;
-  uint64_t crossings_ = 0;
-};
-
 }  // namespace simdx
 
 #endif  // SIMDX_SIMT_BARRIER_H_

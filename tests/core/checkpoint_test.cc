@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -217,9 +218,7 @@ TEST(SemanticOptionsDigestTest, HostRuntimeKnobsDoNot) {
   const EngineOptions base;
   EngineOptions o = base;
   o.host_threads = 8;
-  o.parallel_push_replay = false;
-  o.parallel_replay_min_records = 0;
-  o.first_touch_init = false;
+  o.parallel_replay_min_records = SIZE_MAX;
   o.profile_push_replay = true;
   o.keep_iteration_log = false;
   o.fault_spec = "replay@3";

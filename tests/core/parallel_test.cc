@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "core/push_buffer.h"
@@ -430,27 +431,49 @@ TEST(PartitionedReplayTest, MoreRangesThanTouchedDestinations) {
       [&](const EngineOptions& o) { return RunSssp(g, 0, MakeK40(), o); });
 }
 
-TEST(PartitionedReplayTest, DisablingFallsBackToSerialDrainIdentically) {
-  const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 37), /*directed=*/false);
-  const auto run = [&](EngineOptions o) { return RunWcc(g, MakeK40(), o); };
-  const auto serial = run(PartitionedPushOptions(1));
-  EngineOptions off = PartitionedPushOptions(8);
-  off.parallel_push_replay = false;
-  ExpectIdenticalRuns(serial, run(off));
-  EngineOptions lazy = PartitionedPushOptions(8);
-  lazy.parallel_replay_min_records = 1u << 30;  // always below: serial drain
-  ExpectIdenticalRuns(serial, run(lazy));
+// At 8 threads, the single-range drain (min_records = SIZE_MAX: every
+// iteration below the threshold) and the 8-range drain (min_records = 0)
+// must both match the 1-thread run bit-for-bit.
+template <typename RunFn>
+void ExpectSingleRangeMatchesMultiRange(const RunFn& run, bool pre_combine) {
+  EngineOptions reference = PartitionedPushOptions(1);
+  EngineOptions single = PartitionedPushOptions(8);
+  single.parallel_replay_min_records = SIZE_MAX;
+  EngineOptions multi = PartitionedPushOptions(8);
+  for (EngineOptions* o : {&reference, &single, &multi}) {
+    o->pre_combine_replay = pre_combine;
+  }
+  SCOPED_TRACE(::testing::Message() << "pre_combine=" << pre_combine);
+  const auto expected = run(reference);
+  ASSERT_TRUE(expected.stats.ok());
+  ExpectIdenticalRuns(expected, run(single));
+  ExpectIdenticalRuns(expected, run(multi));
 }
 
-TEST(PartitionedReplayTest, FirstTouchToggleChangesNothing) {
-  const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 41), /*directed=*/true);
-  EngineOptions on = OptionsWithThreads(8);
-  on.first_touch_init = true;
-  EngineOptions off = OptionsWithThreads(8);
-  off.first_touch_init = false;
-  ExpectIdenticalRuns(RunPageRank(g, MakeK40(), on),
-                      RunPageRank(g, MakeK40(), off));
-  ExpectIdenticalRuns(RunBfs(g, 0, MakeK40(), on), RunBfs(g, 0, MakeK40(), off));
+TEST(PartitionedReplayTest, DisablingFallsBackToSerialDrainIdentically) {
+  const Graph rmat =
+      Graph::FromEdges(GenerateRmat(11, 8, 37), /*directed=*/false);
+  const Graph parks = MakeFunnelGraph(1500, 3, /*park_weights=*/true);
+  const Graph funnel = MakeFunnelGraph(800, 4, /*park_weights=*/false);
+  for (const bool pre_combine : {false, true}) {
+    ExpectSingleRangeMatchesMultiRange(
+        [&](const EngineOptions& o) { return RunWcc(rmat, MakeK40(), o); },
+        pre_combine);
+    ExpectSingleRangeMatchesMultiRange(
+        [&](const EngineOptions& o) { return RunBfs(rmat, 0, MakeK40(), o); },
+        pre_combine);
+    // Span-interleaved consume (per record) / fold-apply-consume
+    // (pre-combined) on hubs that are sources and destinations at once.
+    ExpectSingleRangeMatchesMultiRange(
+        [&](const EngineOptions& o) {
+          return RunPageRank(funnel, MakeK40(), o, /*epsilon=*/1e-10);
+        },
+        pre_combine);
+  }
+  // SSSP's deferred bucket parks; order-sensitive, so per record only.
+  ExpectSingleRangeMatchesMultiRange(
+      [&](const EngineOptions& o) { return RunSssp(parks, 0, MakeK40(), o); },
+      /*pre_combine=*/false);
 }
 
 TEST(PartitionedReplayTest, ProfileShowsPartitionedDrainOnRangeWorkers) {
@@ -587,7 +610,7 @@ TEST(PreCombinedReplayTest, SingleRecordDestinationsOnChain) {
 TEST(PreCombinedReplayTest, MoreRangesThanTouchedDestinations) {
   // 5-vertex chain at 8 threads: P = min(8, 5) ranges, at most one touched
   // destination per iteration — single-entry touched lists next to empty
-  // ones, and empty RangeRecords buckets in every drain.
+  // ones, and empty range buckets in every drain.
   EdgeList e;
   for (VertexId v = 0; v < 4; ++v) {
     e.Add(v, v + 1, 1);
@@ -702,9 +725,11 @@ void SweepCollectFoldThreads(const RunFn& run) {
   for (uint32_t threads : {1u, 2u, 3u, 8u}) {
     for (bool partitioned : {true, false}) {
       EngineOptions fold_on = CollectFoldOptions(threads);
-      fold_on.parallel_push_replay = partitioned;
       EngineOptions fold_off = PreCombineOptions(threads);
-      fold_off.parallel_push_replay = partitioned;
+      if (!partitioned) {
+        fold_on.parallel_replay_min_records = SIZE_MAX;
+        fold_off.parallel_replay_min_records = SIZE_MAX;
+      }
       const auto folded = run(fold_on);
       SCOPED_TRACE(::testing::Message() << "threads=" << threads
                                         << " partitioned=" << partitioned);
@@ -771,7 +796,9 @@ TEST(CollectFoldTest, PageRankFloatingPointFoldIsThreadCountStable) {
   for (uint32_t threads : {2u, 3u, 8u}) {
     for (bool partitioned : {true, false}) {
       EngineOptions o = CollectFoldOptions(threads);
-      o.parallel_push_replay = partitioned;
+      if (!partitioned) {
+        o.parallel_replay_min_records = SIZE_MAX;
+      }
       ExpectIdenticalRuns(reference, run(o));
     }
   }
@@ -986,8 +1013,10 @@ TEST(PushBufferTest, FootprintCountsArmedLanesAndBuckets) {
   buf.Append(2, 0, 22, /*dst_range=*/3);
   EXPECT_EQ(buf.FootprintBytes(),
             2 * (5 * sizeof(uint32_t)) + sizeof(PushSourceSpan));
-  ASSERT_EQ(buf.RangeRecords(2).size(), 1u);
-  EXPECT_EQ(buf.RangeRecords(2)[0], 0u);
+  std::vector<uint32_t> owned;
+  buf.ForEachOwned(
+      2, [&](uint32_t idx) { owned.push_back(idx); }, [](VertexId) {});
+  EXPECT_EQ(owned, std::vector<uint32_t>{0u});
 }
 
 TEST(PlanChunksTest, CollapsesToOneChunkWhenSerial) {

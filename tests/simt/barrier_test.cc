@@ -69,14 +69,6 @@ INSTANTIATE_TEST_SUITE_P(RegisterPressures, DeadlockFreeSweep,
                                            GridCase{110, 256}, GridCase{32, 256},
                                            GridCase{64, 512}));
 
-TEST(GlobalBarrierTest, CountsCrossings) {
-  GlobalBarrier barrier(60);
-  EXPECT_EQ(barrier.parties(), 60u);
-  EXPECT_EQ(barrier.ArriveAndDepartAll(), 1u);
-  EXPECT_EQ(barrier.ArriveAndDepartAll(), 2u);
-  EXPECT_EQ(barrier.crossings(), 2u);
-}
-
 // Ties Eq. 1 to the fusion register model: the all-fusion kernel's safe grid
 // on K40 is exactly the paper's 60-CTA example.
 TEST(BarrierSimTest, AllFusionGridOnK40MatchesPaperExample) {
