@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the substrate primitives the
 // engines are built from: warp lane operations, the ballot filter scan,
-// CSR construction, and the discrete global-barrier simulation. These guard
+// CSR construction, the discrete global-barrier simulation, and per-chunk
+// scratch writes on the host pool (packed vs cache-line isolated). These guard
 // against performance regressions in the simulator itself (wall-clock, not
 // simulated time).
 #include <benchmark/benchmark.h>
@@ -8,6 +9,7 @@
 #include <random>
 
 #include "core/filters.h"
+#include "core/parallel.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "simt/barrier.h"
@@ -82,6 +84,47 @@ void BM_BarrierSimulation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BarrierSimulation)->Arg(60)->Arg(240)->Arg(960);
+
+// Per-chunk counters written once per element from inside a ParallelFor
+// region: the layer the layout rule of core/parallel.h is about, timed
+// alone. Packed, four chunks' slots share one 64 B line, so threads writing
+// disjoint slots still bounce it between cores; CacheAligned gives every
+// slot its own line. ClobberMemory forces each increment to memory, like a
+// per-edge store through a reference to scratch. Arg = host threads; real
+// time, since the work runs on pool threads.
+struct ChunkCounters {
+  uint64_t words = 0;
+  uint64_t ops = 0;
+};
+ChunkCounters& Slot(ChunkCounters& s) { return s; }
+ChunkCounters& Slot(CacheAligned<ChunkCounters>& s) { return *s; }
+
+template <typename SlotT>
+void BM_ChunkCounters(benchmark::State& state) {
+  const auto threads = static_cast<uint32_t>(state.range(0));
+  constexpr size_t kChunks = 64;
+  constexpr size_t kPerChunk = size_t{1} << 14;
+  ThreadPool& pool = ThreadPool::Global();
+  std::vector<SlotT> slots(kChunks);
+  for (auto _ : state) {
+    pool.ParallelFor(0, kChunks * kPerChunk, kPerChunk, threads,
+                     [&](const ParallelChunk& c) {
+                       ChunkCounters& s = Slot(slots[c.chunk_index]);
+                       for (size_t i = c.begin; i < c.end; ++i) {
+                         s.words += 1;
+                         s.ops += 2;
+                         benchmark::ClobberMemory();
+                       }
+                     });
+    benchmark::DoNotOptimize(slots.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kChunks * kPerChunk);
+}
+BENCHMARK_TEMPLATE(BM_ChunkCounters, ChunkCounters)
+    ->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK_TEMPLATE(BM_ChunkCounters, CacheAligned<ChunkCounters>)
+    ->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 }  // namespace
 }  // namespace simdx

@@ -326,10 +326,12 @@ namespace {
 // Per-chunk buffer for the push-mode oracles: (dst, contribution) records in
 // source order, replayed in ascending chunk order so deposits land per
 // destination in ascending-source order — matching the summation order of
-// the pull oracles' sorted in-runs bit for bit.
-struct ScatterBuffer {
+// the pull oracles' sorted in-runs bit for bit. Cache-line isolated, like
+// every per-chunk slot (core/parallel.h).
+struct alignas(kCacheLineBytes) ScatterBuffer {
   std::vector<std::pair<VertexId, double>> updates;
 };
+static_assert(alignof(ScatterBuffer) >= kCacheLineBytes);
 
 // One push sweep: for every source v (ascending), emit contrib(v) — times
 // the edge weight when `weighted` (SpMV; PageRank's oracle is unweighted) —

@@ -684,8 +684,9 @@ class Engine {
   // range's counters, apply count and clocks plus its position-tagged
   // deferred streams; `effect_pos[i]` is the position of `effects[i]` (kept
   // parallel rather than wrapped so the no-effect programs pay nothing).
-  // `touched` is the pre-combined drain's first-touch list.
-  struct ReplayScratch {
+  // `touched` is the pre-combined drain's first-touch list. One range worker
+  // writes each slot, so slots are cache-line isolated (core/parallel.h).
+  struct alignas(kCacheLineBytes) ReplayScratch {
     CostCounters cost;
     std::vector<DeferredActivation> activations;
     std::vector<ApplyEffect> effects;
@@ -695,6 +696,7 @@ class Engine {
     double wall_ms = 0.0;
     double fold_ms = 0.0;  // pre-combined: the FOLD share of wall_ms
   };
+  static_assert(alignof(ReplayScratch) >= kCacheLineBytes);
 
   // Per-host-thread scratch for the collect-side fold: dst → slot of the
   // destination's first record in the CURRENT chunk's buffer. Epoch-stamped
@@ -703,8 +705,9 @@ class Engine {
   // Sized to the vertex count once per run and reused across chunks and
   // iterations: zero steady-state allocation. The table's content never
   // leaves the chunk it was filled for, so per-THREAD reuse is invisible to
-  // the (per-chunk-deterministic) record stream.
-  struct CollectFoldTable {
+  // the (per-chunk-deterministic) record stream. Line-isolated: the running
+  // thread bumps `epoch` once per chunk.
+  struct alignas(kCacheLineBytes) CollectFoldTable {
     NumaVector<uint32_t> stamp;
     NumaVector<uint32_t> slot;
     uint32_t epoch = 0;
@@ -715,6 +718,7 @@ class Engine {
       }
     }
   };
+  static_assert(alignof(CollectFoldTable) >= kCacheLineBytes);
 
   // Loop-carried state of one Run: what an iteration boundary hands to the
   // next iteration besides the metadata, the frontier, the jit/fusion
@@ -1254,16 +1258,24 @@ class Engine {
   // chunk by NextChunk: a repeated destination folds its candidate into its
   // first record of THIS chunk instead of appending. Every simulated charge
   // below is per EDGE and unconditional, so folding changes no statistic —
-  // only the record stream shrinks.
+  // only the record stream shrinks. The charges are pure sums, kept in
+  // locals (per-edge charges as per-source multiples of the degree) and
+  // written to the buffer once at the end of the chunk.
   void CollectPushRange(const Program& program, const VertexMeta<Value>& meta,
                         const WorkListView& view, bool frontier_sorted,
                         size_t begin, size_t end, PushBuffer<Value>& buf,
                         CollectFoldTable* fold) const {
     const uint32_t workers = options_.sim_worker_threads;
     const bool bucketed = collect_bucketed_;
+    // Batch filter: every edge also transits the expanded active-edge list
+    // (3 words written at expansion, 3 read back at apply).
+    const uint64_t batch_words =
+        options_.filter == FilterPolicy::kBatch ? 6 : 0;
     if (fold != nullptr) {
       fold->NextChunk();
     }
+    CostCounters cost;
+    uint64_t edges = 0;
     for (size_t idx = begin; idx < end; ++idx) {
       const VertexId v = view[idx];
       const auto nbrs = graph_.out().Neighbors(v);
@@ -1274,30 +1286,28 @@ class Engine {
       // sorted (ballot-filter output), scattered otherwise — the memory
       // benefit Section 4 attributes to the ballot filter.
       if (frontier_sorted) {
-        buf.cost.coalesced_words += 3;
+        cost.coalesced_words += 3;
       } else {
-        buf.cost.scattered_words += 3;
+        cost.scattered_words += 3;
       }
       // Adjacency ids + weights. The Warp/CTA kernels read them coalesced,
       // rounded up to full 32-lane transactions; the Thread kernel's lanes
       // walk unrelated adjacency runs (partial coalescing).
       if (view.klass == KernelClass::kThread) {
-        buf.cost.coalesced_words += 2ull * degree;
-        buf.cost.scattered_words += degree / 4;
+        cost.coalesced_words += 2ull * degree;
+        cost.scattered_words += degree / 4;
       } else {
         const uint32_t rounded = (degree + 31) / 32 * 32;
-        buf.cost.coalesced_words += 2ull * rounded;
+        cost.coalesced_words += 2ull * rounded;
       }
+      // Per edge: load the destination's metadata, Compute + Combine lane
+      // work, and the batch filter's edge-list traffic.
+      cost.scattered_words += degree;
+      cost.alu_ops += 2ull * degree;
+      cost.coalesced_words += batch_words * degree;
 
       buf.BeginSource(v, bucketed ? range_of_vertex_[v] : 0);
       for (uint32_t i = 0; i < degree; ++i) {
-        buf.cost.scattered_words += 1;  // load destination metadata
-        buf.cost.alu_ops += 2;          // Compute + Combine lane work
-        // Batch filter: this edge also transited the expanded active-edge
-        // list (3 words written at expansion, 3 read back at apply).
-        if (options_.filter == FilterPolicy::kBatch) {
-          buf.cost.coalesced_words += 6;
-        }
         const VertexId dst = nbrs[i];
         const Value cand =
             program.Compute(v, dst, wts[i], meta.curr(v), Direction::kPush);
@@ -1316,9 +1326,11 @@ class Engine {
           }
         }
       }
-      buf.edges += degree;
+      edges += degree;
     }
     buf.FinishCollect();
+    buf.cost += cost;
+    buf.edges += edges;
   }
 
   struct ReplayOutcome {
@@ -1664,12 +1676,16 @@ class Engine {
 
   // The per-vertex gather shared by the sequential and per-chunk paths;
   // `on_update(v, combined)` fires where the sequential loop would Apply.
+  // Charges and the edge count are pure sums, kept in locals and added to
+  // `cost_out`/`edges_out` once for the range.
   template <typename OnUpdate>
   void PullRange(const Program& program, const VertexMeta<Value>& meta,
-                 VertexId vbegin, VertexId vend, CostCounters& cost,
-                 uint64_t& edges, OnUpdate&& on_update) const {
+                 VertexId vbegin, VertexId vend, CostCounters& cost_out,
+                 uint64_t& edges_out, OnUpdate&& on_update) const {
     const Csr& in = graph_.in();
     const bool vote = program.combine_kind() == CombineKind::kVote;
+    CostCounters cost;
+    uint64_t edges = 0;
     for (VertexId v = vbegin; v < vend; ++v) {
       cost.coalesced_words += 1;  // own metadata, sequential over v
       cost.alu_ops += 1;
@@ -1725,6 +1741,8 @@ class Engine {
       }
       on_update(v, combined);
     }
+    cost_out += cost;
+    edges_out += edges;
   }
 
   // The deferred tail of a pull-mode vertex update; identical statement
@@ -1786,12 +1804,14 @@ class Engine {
     return worker % workers;
   }
 
-  // Per-chunk scratch for the parallel pull phase, reused across iterations.
-  struct PullScratch {
+  // Per-chunk scratch for the parallel pull phase, reused across iterations;
+  // cache-line isolated (core/parallel.h).
+  struct alignas(kCacheLineBytes) PullScratch {
     CostCounters cost;
     uint64_t edges = 0;
     std::vector<std::pair<VertexId, Value>> updates;
   };
+  static_assert(alignof(PullScratch) >= kCacheLineBytes);
 
 
   const Graph& graph_;

@@ -9,10 +9,12 @@ namespace simdx {
 namespace {
 
 // One warp-aligned stretch of the scan; appends to `frontier`, charges
-// `counters`. Shared verbatim by the sequential and per-chunk paths.
+// `counters` once for the stretch (the per-warp charges are pure sums kept
+// in a local). Shared verbatim by the sequential and per-chunk paths.
 void BallotScanRange(VertexId range_begin, VertexId range_end,
                      const ActivePredicate& active,
                      std::vector<VertexId>& frontier, CostCounters& counters) {
+  CostCounters local;
   std::array<bool, kWarpSize> pred{};
   for (VertexId base = range_begin; base < range_end; base += kWarpSize) {
     const uint32_t lanes = std::min<VertexId>(kWarpSize, range_end - base);
@@ -27,11 +29,12 @@ void BallotScanRange(VertexId range_begin, VertexId range_end,
       frontier.push_back(base + NthSetLane(mask, n));
     }
     // Each lane reads curr and prev metadata for its vertex: coalesced.
-    counters.coalesced_words += 2ull * lanes;
-    counters.alu_ops += lanes + 1;  // predicate evaluations + the ballot
+    local.coalesced_words += 2ull * lanes;
+    local.alu_ops += lanes + 1;  // predicate evaluations + the ballot
     // The emitting lane writes `count` consecutive frontier slots.
-    counters.coalesced_words += count;
+    local.coalesced_words += count;
   }
+  counters += local;
 }
 
 }  // namespace
@@ -57,26 +60,26 @@ void BallotFilterScanInto(VertexId vertex_count, const ActivePredicate& active,
   // the per-warp ballots are exactly the sequential ones.
   const size_t grain = SuggestedGrain(vertex_count, threads, 4 * kWarpSize, kWarpSize);
   const uint32_t chunks = ThreadPool::NumChunks(0, vertex_count, grain);
-  if (scratch.chunk_frontier.size() < chunks) {
-    scratch.chunk_frontier.resize(chunks);
+  if (scratch.chunks.size() < chunks) {
+    scratch.chunks.resize(chunks);
   }
-  scratch.chunk_cost.assign(chunks, CostCounters{});
   pool->ParallelFor(0, vertex_count, grain, threads, [&](const ParallelChunk& c) {
-    std::vector<VertexId>& local = scratch.chunk_frontier[c.chunk_index];
-    local.clear();
+    BallotScratch::Chunk& local = scratch.chunks[c.chunk_index];
+    local.frontier.clear();
+    local.cost = CostCounters{};
     BallotScanRange(static_cast<VertexId>(c.begin), static_cast<VertexId>(c.end),
-                    active, local, scratch.chunk_cost[c.chunk_index]);
+                    active, local.frontier, local.cost);
   });
   // Prefix-sum compaction in chunk (= vertex id) order.
   size_t total = 0;
   for (uint32_t i = 0; i < chunks; ++i) {
-    total += scratch.chunk_frontier[i].size();
+    total += scratch.chunks[i].frontier.size();
   }
   out.reserve(total);
   for (uint32_t i = 0; i < chunks; ++i) {
-    const auto& local = scratch.chunk_frontier[i];
-    out.insert(out.end(), local.begin(), local.end());
-    counters += scratch.chunk_cost[i];
+    const BallotScratch::Chunk& local = scratch.chunks[i];
+    out.insert(out.end(), local.frontier.begin(), local.frontier.end());
+    counters += local.cost;
   }
 }
 

@@ -38,9 +38,14 @@ struct DeferredActivation {
 
 // Per-chunk output buffers for the parallel ballot scan, owned by the caller
 // (the JIT controller) so the per-iteration scan allocates nothing once warm.
+// One slot per chunk, each on its own cache lines (core/parallel.h).
 struct BallotScratch {
-  std::vector<std::vector<VertexId>> chunk_frontier;
-  std::vector<CostCounters> chunk_cost;
+  struct alignas(kCacheLineBytes) Chunk {
+    std::vector<VertexId> frontier;
+    CostCounters cost;
+  };
+  static_assert(alignof(Chunk) >= kCacheLineBytes);
+  std::vector<Chunk> chunks;
 };
 
 // Runs the warp-ballot scan over [0, vertex_count): each warp of 32 lanes

@@ -9,6 +9,16 @@
 // order, floating-point sums — everything — is bit-identical for any thread
 // count, including the serial inline path used when one thread is requested.
 //
+// LAYOUT RULE, the memory-side half of the same invariant: every slot that a
+// pool thread writes during a region — per-chunk, per-range and per-thread
+// scratch, and the heap header arrays inside it — starts on its own
+// kCacheLineBytes line (alignas on the scratch type, or CacheAligned<T>
+// around a shared type), and per-element counter sums are kept in locals
+// and written to the slot once per chunk or per source. Packed scratch lets
+// neighbouring chunks share a line, and threads writing disjoint data then
+// still bounce that line between cores (false sharing). Padding moves no
+// value and reorders no merge, so every result stays bit-identical.
+//
 // The pool is persistent (workers park on a condition variable between
 // jobs) and shared process-wide via ThreadPool::Global(); engines cap their
 // participation per-run with EngineOptions::host_threads.
@@ -29,6 +39,29 @@
 #include <vector>
 
 namespace simdx {
+
+// The unit of the layout rule above. A named constant rather than
+// std::hardware_destructive_interference_size: GCC warns
+// (-Winterference-size) wherever that value is used in a header, because it
+// may differ between translation units built for different CPUs; 64 B is the
+// line size of every x86-64 and most AArch64 parts.
+inline constexpr size_t kCacheLineBytes = 64;
+
+// Pads one T to whole cache lines and starts it on a line boundary, so the
+// elements of a std::vector<CacheAligned<T>> never share a line. For shared
+// types (vector headers, counters) held in per-chunk arrays; scratch types
+// that only exist as per-chunk slots carry alignas(kCacheLineBytes)
+// themselves. std::allocator (and DefaultInitAllocator) honour the
+// over-alignment through aligned operator new.
+template <typename T>
+struct alignas(kCacheLineBytes) CacheAligned {
+  T value{};
+
+  T& operator*() { return value; }
+  const T& operator*() const { return value; }
+  T* operator->() { return &value; }
+  const T* operator->() const { return &value; }
+};
 
 // One contiguous piece of a ParallelFor range. `chunk_index` drives ordered
 // reductions (deterministic); `thread_index` only addresses per-thread
@@ -142,8 +175,11 @@ class ThreadPool {
   uint32_t job_threads_ = 1;
   uint64_t epoch_ = 0;
   bool stopping_ = false;
-  std::atomic<uint64_t> claim_{0};
-  std::atomic<uint64_t> done_{0};
+  // Every participant CASes claim_ per chunk and bumps done_ once per
+  // region: each gets its own line, away from the job fields the workers
+  // only read.
+  alignas(kCacheLineBytes) std::atomic<uint64_t> claim_{0};
+  alignas(kCacheLineBytes) std::atomic<uint64_t> done_{0};
 
   // Serializes submissions from distinct caller threads.
   std::mutex submit_mutex_;
@@ -346,11 +382,12 @@ template <typename T, typename MapFn, typename FoldFn>
 T OrderedReduce(ThreadPool& pool, size_t begin, size_t end, size_t grain,
                 uint32_t threads, T init, const MapFn& map, const FoldFn& fold) {
   const uint32_t chunks = ThreadPool::NumChunks(begin, end, grain);
-  std::vector<T> partial(chunks);
-  pool.ParallelFor(begin, end, grain, threads,
-                   [&](const ParallelChunk& c) { map(c, partial[c.chunk_index]); });
+  std::vector<CacheAligned<T>> partial(chunks);
+  pool.ParallelFor(begin, end, grain, threads, [&](const ParallelChunk& c) {
+    map(c, *partial[c.chunk_index]);
+  });
   for (uint32_t i = 0; i < chunks; ++i) {
-    fold(init, partial[i]);
+    fold(init, *partial[i]);
   }
   return init;
 }

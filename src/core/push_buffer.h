@@ -60,7 +60,10 @@
 // across iterations. BeginCollect() keeps capacity, so after the first
 // iteration at a given frontier volume the steady state allocates nothing;
 // a larger iteration regrows the vectors (amortized doubling) and the
-// capacity then persists.
+// capacity then persists. Each buffer is written by one pool thread at a
+// time, so a buffer — and each per-range header of its bucket arrays —
+// starts on its own cache line (the layout rule of core/parallel.h):
+// neighbouring chunks' vector end pointers and counters never share a line.
 #ifndef SIMDX_CORE_PUSH_BUFFER_H_
 #define SIMDX_CORE_PUSH_BUFFER_H_
 
@@ -68,6 +71,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/parallel.h"
 #include "graph/types.h"
 #include "simt/cost_model.h"
 
@@ -106,7 +110,7 @@ struct PushSpanEvent {
 };
 
 template <typename Value>
-class PushBuffer {
+class alignas(kCacheLineBytes) PushBuffer {
  public:
   // Collect-side charges for this chunk (header + adjacency + per-edge
   // words); merged into the iteration counters in chunk order. Replay-side
@@ -145,14 +149,14 @@ class PushBuffer {
         range_records_.resize(ranges_);
       }
       for (uint32_t r = 0; r < ranges_; ++r) {
-        range_records_[r].clear();
+        range_records_[r]->clear();
       }
       if (track_spans_) {
         if (range_spans_.size() < ranges_) {
           range_spans_.resize(ranges_);
         }
         for (uint32_t r = 0; r < ranges_; ++r) {
-          range_spans_[r].clear();
+          range_spans_[r]->clear();
         }
       }
     }
@@ -181,7 +185,7 @@ class PushBuffer {
                   uint32_t dst_range) {
     const uint32_t slot = static_cast<uint32_t>(dsts_.size());
     if (ranges_ > 1) {
-      range_records_[dst_range].push_back(slot);
+      range_records_[dst_range]->push_back(slot);
     }
     dsts_.push_back(dst);
     cands_.push_back(cand);
@@ -250,7 +254,7 @@ class PushBuffer {
                    sources_.size() * sizeof(PushSourceSpan);
     if (track_spans_) {
       for (uint32_t r = 0; r < ranges_; ++r) {
-        bytes += range_spans_[r].size() * sizeof(PushSpanEvent);
+        bytes += range_spans_[r]->size() * sizeof(PushSpanEvent);
       }
     }
     return bytes;
@@ -280,10 +284,10 @@ class PushBuffer {
     const PushSpanEvent* span = nullptr;
     const PushSpanEvent* span_end = nullptr;
     if (track_spans_) {
-      span = range_spans_[r].data();
-      span_end = span + range_spans_[r].size();
+      span = range_spans_[r]->data();
+      span_end = span + range_spans_[r]->size();
     }
-    for (const uint32_t idx : range_records_[r]) {
+    for (const uint32_t idx : *range_records_[r]) {
       for (; span != span_end && span->end_pos <= idx; ++span) {
         on_consume(span->src);
       }
@@ -303,7 +307,7 @@ class PushBuffer {
         on_consume(span.src);
       }
     } else if (track_spans_) {
-      for (const PushSpanEvent& span : range_spans_[r]) {
+      for (const PushSpanEvent& span : *range_spans_[r]) {
         on_consume(span.src);
       }
     }
@@ -312,7 +316,7 @@ class PushBuffer {
  private:
   void CloseOpenSpan() {
     if (track_spans_ && ranges_ > 1 && !sources_.empty()) {
-      range_spans_[open_src_range_].push_back(
+      range_spans_[open_src_range_]->push_back(
           PushSpanEvent{static_cast<uint32_t>(dsts_.size()),
                         sources_.back().src});
     }
@@ -325,14 +329,19 @@ class PushBuffer {
   std::vector<uint32_t> fold_counts_;
   std::vector<PushSourceSpan> sources_;
   // Owner-computes replay buckets (see file comment), armed by BeginCollect.
-  std::vector<std::vector<uint32_t>> range_records_;
-  std::vector<std::vector<PushSpanEvent>> range_spans_;
+  // Line-aligned headers: these heap arrays would otherwise pack against
+  // the neighbouring chunk buffers' arrays.
+  std::vector<CacheAligned<std::vector<uint32_t>>> range_records_;
+  std::vector<CacheAligned<std::vector<PushSpanEvent>>> range_spans_;
   uint32_t ranges_ = 0;
   uint32_t open_src_range_ = 0;
   bool track_spans_ = false;
   bool store_workers_ = true;
   bool store_fold_counts_ = false;
 };
+
+static_assert(alignof(PushBuffer<uint32_t>) >= kCacheLineBytes,
+              "per-chunk push buffers must not share cache lines");
 
 }  // namespace simdx
 

@@ -34,10 +34,12 @@ WorkLists ClassifyFrontier(const std::vector<VertexId>& frontier, const Graph& g
 
 namespace {
 
-void ClassifyRange(const std::vector<VertexId>& frontier, size_t begin, size_t end,
-                   const Graph& g, uint32_t small_degree_limit,
-                   uint32_t medium_degree_limit, WorkLists& lists,
-                   uint64_t& out_edges) {
+// Returns the range's out-edge sum, kept in a local rather than stored per
+// vertex into the caller's (possibly per-chunk) slot.
+uint64_t ClassifyRange(const std::vector<VertexId>& frontier, size_t begin,
+                       size_t end, const Graph& g, uint32_t small_degree_limit,
+                       uint32_t medium_degree_limit, WorkLists& lists) {
+  uint64_t out_edges = 0;
   for (size_t i = begin; i < end; ++i) {
     const VertexId v = frontier[i];
     const uint32_t degree = g.OutDegree(v);
@@ -54,6 +56,7 @@ void ClassifyRange(const std::vector<VertexId>& frontier, size_t begin, size_t e
         break;
     }
   }
+  return out_edges;
 }
 
 void AppendLists(WorkLists& to, const WorkLists& from) {
@@ -71,39 +74,37 @@ uint64_t FrontierClassifier::Classify(const std::vector<VertexId>& frontier,
   lists_.Clear();
   const size_t n = frontier.size();
   if (pool == nullptr || threads <= 1 || n < 2048) {
-    uint64_t out_edges = 0;
-    ClassifyRange(frontier, 0, n, g, small_degree_limit, medium_degree_limit,
-                  lists_, out_edges);
-    return out_edges;
+    return ClassifyRange(frontier, 0, n, g, small_degree_limit,
+                         medium_degree_limit, lists_);
   }
   const size_t grain = SuggestedGrain(n, threads, 1024);
   const uint32_t chunks = ThreadPool::NumChunks(0, n, grain);
   if (partial_.size() < chunks) {
     partial_.resize(chunks);
   }
-  partial_edges_.assign(chunks, 0);
   pool->ParallelFor(0, n, grain, threads, [&](const ParallelChunk& c) {
-    WorkLists& lists = partial_[c.chunk_index];
-    lists.Clear();
-    ClassifyRange(frontier, c.begin, c.end, g, small_degree_limit,
-                  medium_degree_limit, lists, partial_edges_[c.chunk_index]);
+    Partial& part = partial_[c.chunk_index];
+    part.lists.Clear();
+    part.out_edges = ClassifyRange(frontier, c.begin, c.end, g,
+                                   small_degree_limit, medium_degree_limit,
+                                   part.lists);
   });
   uint64_t out_edges = 0;
   size_t small = 0;
   size_t medium = 0;
   size_t large = 0;
   for (uint32_t i = 0; i < chunks; ++i) {
-    small += partial_[i].small.size();
-    medium += partial_[i].medium.size();
-    large += partial_[i].large.size();
+    small += partial_[i].lists.small.size();
+    medium += partial_[i].lists.medium.size();
+    large += partial_[i].lists.large.size();
   }
   lists_.small.reserve(small);
   lists_.medium.reserve(medium);
   lists_.large.reserve(large);
   // Chunk-order merge = frontier order, identical to the sequential pass.
   for (uint32_t i = 0; i < chunks; ++i) {
-    AppendLists(lists_, partial_[i]);
-    out_edges += partial_edges_[i];
+    AppendLists(lists_, partial_[i].lists);
+    out_edges += partial_[i].out_edges;
   }
   return out_edges;
 }
@@ -121,17 +122,19 @@ uint64_t FrontierClassifier::OutEdgeSum(const std::vector<VertexId>& frontier,
   }
   const size_t grain = SuggestedGrain(n, threads, 2048);
   const uint32_t chunks = ThreadPool::NumChunks(0, n, grain);
-  partial_edges_.assign(chunks, 0);
+  if (partial_.size() < chunks) {
+    partial_.resize(chunks);
+  }
   pool->ParallelFor(0, n, grain, threads, [&](const ParallelChunk& c) {
     uint64_t acc = 0;
     for (size_t i = c.begin; i < c.end; ++i) {
       acc += g.OutDegree(frontier[i]);
     }
-    partial_edges_[c.chunk_index] = acc;
+    partial_[c.chunk_index].out_edges = acc;
   });
   uint64_t edges = 0;
   for (uint32_t i = 0; i < chunks; ++i) {
-    edges += partial_edges_[i];
+    edges += partial_[i].out_edges;
   }
   return edges;
 }

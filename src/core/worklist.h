@@ -72,7 +72,7 @@ KernelClass ClassifyDegree(uint32_t degree, uint32_t small_degree_limit,
 // for this. Per-chunk partial lists are merged in chunk order, so `result()`
 // preserves frontier order exactly like the sequential loop; all buffers are
 // owned here and reused across iterations (no per-iteration allocation once
-// warm).
+// warm). Each chunk's partial sits on its own cache lines (core/parallel.h).
 class FrontierClassifier {
  public:
   // Classifies into the internal lists and returns the frontier's total
@@ -88,9 +88,15 @@ class FrontierClassifier {
   const WorkLists& result() const { return lists_; }
 
  private:
+  // One chunk's lists (capacity reused) and degree sum, written once.
+  struct alignas(kCacheLineBytes) Partial {
+    WorkLists lists;
+    uint64_t out_edges = 0;
+  };
+  static_assert(alignof(Partial) >= kCacheLineBytes);
+
   WorkLists lists_;
-  std::vector<WorkLists> partial_;       // per-chunk lists, capacity reused
-  std::vector<uint64_t> partial_edges_;  // per-chunk degree sums
+  std::vector<Partial> partial_;
 };
 
 // Per-thread bounded bins used by the online filter (paper Figure 6(c)).

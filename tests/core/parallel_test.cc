@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "core/filters.h"
 #include "core/push_buffer.h"
+#include "core/worklist.h"
 
 #include "algos/algos.h"
 #include "core/engine.h"
@@ -29,6 +32,55 @@ TEST(ThreadPoolTest, CoversRangeExactlyOnce) {
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }
+}
+
+// Layout rule (core/parallel.h): consecutive per-chunk slots start on
+// distinct cache lines. Holds only if the type is over-aligned AND the
+// allocator honours that alignment (aligned operator new), so check real
+// vector element addresses, after a regrow too, through both allocators the
+// engine uses. The engine's private scratch types (ReplayScratch,
+// PullScratch, CollectFoldTable, FrontierClassifier's partials) carry a
+// static_assert on their alignment beside their definitions; their
+// vectors go through the same std::allocator path checked here.
+template <typename T>
+void ExpectSlotsLineIsolated(const char* name) {
+  SCOPED_TRACE(name);
+  static_assert(alignof(T) >= kCacheLineBytes);
+  const auto check = [](const auto& v) {
+    for (size_t i = 0; i < v.size(); ++i) {
+      const auto addr = reinterpret_cast<uintptr_t>(&v[i]);
+      EXPECT_EQ(addr % kCacheLineBytes, 0u) << "element " << i;
+      if (i > 0) {
+        EXPECT_GE(addr - reinterpret_cast<uintptr_t>(&v[i - 1]),
+                  kCacheLineBytes)
+            << "element " << i;
+      }
+    }
+  };
+  std::vector<T> plain(3);
+  check(plain);
+  plain.resize(17);  // reallocates
+  check(plain);
+  NumaVector<T> numa(3);
+  check(numa);
+  numa.resize(17);
+  check(numa);
+}
+
+TEST(CacheLayoutTest, PerChunkScratchSlotsNeverShareALine) {
+  ExpectSlotsLineIsolated<CacheAligned<uint64_t>>("CacheAligned<uint64_t>");
+  ExpectSlotsLineIsolated<CacheAligned<WorkLists>>("CacheAligned<WorkLists>");
+  ExpectSlotsLineIsolated<CacheAligned<std::vector<uint32_t>>>(
+      "CacheAligned<std::vector<uint32_t>>");
+  // Larger than one line: padded to whole lines, still line-started.
+  ExpectSlotsLineIsolated<CacheAligned<std::array<uint64_t, 22>>>(
+      "CacheAligned<176 B>");
+  ExpectSlotsLineIsolated<PushBuffer<uint32_t>>("PushBuffer<uint32_t>");
+  ExpectSlotsLineIsolated<PushBuffer<double>>("PushBuffer<double>");
+  ExpectSlotsLineIsolated<BallotScratch::Chunk>("BallotScratch::Chunk");
+  EXPECT_EQ(sizeof(CacheAligned<uint64_t>), kCacheLineBytes);
+  EXPECT_EQ(sizeof(CacheAligned<std::array<uint64_t, 22>>) % kCacheLineBytes,
+            0u);
 }
 
 TEST(ThreadPoolTest, ChunkBoundariesDependOnlyOnGrain) {
