@@ -1,6 +1,8 @@
 #include "common.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -190,6 +192,14 @@ double PaperScaleMs(const RunStats& stats) {
   return parallel_ms * PresetScaleFactor() + stats.serial_ms;
 }
 
+double Percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) {
+    return 0.0;
+  }
+  const size_t idx = static_cast<size_t>(p * (sorted.size() - 1));
+  return sorted[idx];
+}
+
 double GeoMean(const std::vector<double>& values) {
   double log_sum = 0.0;
   size_t n = 0;
@@ -241,6 +251,23 @@ uint64_t ParseU64Flag(const std::string& s, const char* flag) {
     }
   }
   std::cerr << "error: " << flag << " expects a number, got '" << s << "'\n";
+  std::exit(2);
+}
+
+double ParseDoubleFlag(const std::string& s, const char* flag) {
+  // strtod skips leading whitespace and accepts "nan"/"inf"; a value that
+  // would land in the JSON as nan or that silently drops a typo'd suffix is
+  // refused instead.
+  if (!s.empty() && !std::isspace(static_cast<unsigned char>(s[0]))) {
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() + s.size() && errno == 0 && std::isfinite(v)) {
+      return v;
+    }
+  }
+  std::cerr << "error: " << flag << " expects a finite number, got '" << s
+            << "'\n";
   std::exit(2);
 }
 

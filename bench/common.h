@@ -78,6 +78,10 @@ size_t ScaledMemoryBudget(const DeviceSpec& device);
 // exact under the cost model.
 double PaperScaleMs(const RunStats& stats);
 
+// The p-quantile (p in [0,1]) of an ascending-sorted sample: the element at
+// index floor(p * (n - 1)); 0 for an empty sample.
+double Percentile(const std::vector<double>& sorted, double p);
+
 // Geometric mean of ratios, ignoring non-positive entries.
 double GeoMean(const std::vector<double>& values);
 
@@ -100,6 +104,10 @@ uint32_t ParseU32Flag(const std::string& s, const char* flag);
 
 // Strict uint64 parse (full-range generator seeds); exits(2) on failure.
 uint64_t ParseU64Flag(const std::string& s, const char* flag);
+
+// Strict finite double parse: the whole string must be a number (no
+// trailing garbage, no NaN or infinity); exits(2) naming `flag` otherwise.
+double ParseDoubleFlag(const std::string& s, const char* flag);
 
 // Comma-separated thread list, e.g. "1,2,4,8".
 std::vector<uint32_t> ParseThreadList(const std::string& s, const char* flag);

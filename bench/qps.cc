@@ -9,27 +9,25 @@
 //
 // --smoke runs a small flood with 10% faults and gates (exit 1) on the
 // ledger accounting identities, a per-kind fingerprint-vs-one-shot oracle
-// sample, and the throughput layers' answer contract: every batched and
-// cached BFS answer from the A/B probe below must be value-fingerprint-
-// identical to its one-shot oracle.
+// sample, the throughput layers' answer contract (every batched and cached
+// BFS answer from the A/B probe below must be value-fingerprint-identical
+// to its one-shot oracle) and the codec A/B's two gates.
 //
 // Besides the open-loop phase (whose service takes --batch / --cache /
 // --hot-fraction), the harness always runs a closed A/B probe: the same
 // 64-source BFS burst through a paused service twice — batching off, then
 // batch_max=64 with a result cache — plus a replay pass that must be served
 // entirely from the cache. The probe is where batched-vs-unbatched
-// throughput and the bit-equality gates come from.
-#include <dirent.h>
-#include <unistd.h>
-
+// throughput and the bit-equality gates come from. Last, an in-process codec
+// A/B answers the same burst through encode -> decode -> Submit -> encode ->
+// decode without sockets: every answer must equal its oracle and the codec
+// time must stay <= 5% of the direct-Submit time. The socket transport
+// itself (hostile frames, chaos, drain) is gated by the service_server_test
+// and service_chaos_test ctest targets, not here.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
@@ -42,10 +40,7 @@
 #include "core/fingerprint.h"
 #include "core/parallel.h"
 #include "graph/generators.h"
-#include "service/chaos.h"
 #include "service/client.h"
-#include "service/retry.h"
-#include "service/server.h"
 #include "service/service.h"
 #include "simt/device.h"
 
@@ -77,21 +72,7 @@ struct Args {
   double hot_fraction = 0.0; // fraction of queries re-asking a hot BFS set
   std::string json_path;
   bool smoke = false;
-  bool remote = false;       // also exercise the wire codec + socket server
-  uint32_t clients = 4;      // concurrent remote client connections
-  bool chaos = false;        // serve the burst through the chaos proxy
-  service::ChaosSpec chaos_spec;
-  bool drain = false;        // exercise graceful Drain over the socket
 };
-
-double ParseDoubleFlag(const std::string& s, const char* flag) {
-  try {
-    return std::stod(s);
-  } catch (...) {
-    std::cerr << flag << ": not a number: " << s << "\n";
-    std::exit(2);
-  }
-}
 
 Args Parse(int argc, char** argv) {
   Args args;
@@ -138,25 +119,6 @@ Args Parse(int argc, char** argv) {
           RequireFlagValue(argc, argv, i, "--hot-fraction"), "--hot-fraction");
     } else if (a == "--json") {
       args.json_path = RequireFlagValue(argc, argv, i, "--json");
-    } else if (a == "--remote") {
-      args.remote = true;
-    } else if (a == "--clients") {
-      args.clients = ParseU32Flag(
-          RequireFlagValue(argc, argv, i, "--clients"), "--clients");
-    } else if (a == "--chaos") {
-      const std::string spec = RequireFlagValue(argc, argv, i, "--chaos");
-      args.chaos = true;
-      if (spec == "default") {
-        args.chaos_spec = service::ChaosSpec::Default();
-      } else {
-        std::string cerr_detail;
-        if (!service::ChaosSpec::Parse(spec, &args.chaos_spec, &cerr_detail)) {
-          std::cerr << "--chaos: " << cerr_detail << "\n";
-          std::exit(2);
-        }
-      }
-    } else if (a == "--drain") {
-      args.drain = true;
     } else if (a == "--smoke") {
       args.smoke = true;
       args.scale = 8;
@@ -177,39 +139,24 @@ Args Parse(int argc, char** argv) {
           << " [--scale N] [--edge-factor N] [--graph-seed N] [--seed N]"
              " [--workers N] [--queue-capacity N] [--qps R] [--queries N]"
              " [--fault-rate F] [--deadline-ms D] [--batch N] [--cache N]"
-             " [--hot-fraction F] [--json out.json] [--remote] [--clients N]"
-             " [--chaos default|SPEC] [--drain] [--smoke]\n\n"
+             " [--hot-fraction F] [--json out.json] [--smoke]\n\n"
              "Open-loop QPS load harness for the resident GraphService:\n"
              "Poisson arrivals at --qps mixing BFS/SSSP/PPR/k-Core queries,\n"
              "--fault-rate of them armed with per-query fault injection.\n"
              "--batch enables coalesced multi-source BFS dispatch, --cache\n"
              "a bounded LRU result cache, --hot-fraction redirects that\n"
              "fraction of arrivals to a small repeating BFS question set.\n"
+             "Latency runs from each query's scheduled arrival (submit lag +\n"
+             "queue + run); offered_qps is arrivals over the arrival window.\n"
              "A closed A/B probe (64-source BFS burst, batching off vs\n"
-             "batch_max=64 + cache, plus a cache replay) always runs and\n"
-             "feeds the batching/cache JSON sections.\n"
-             "--remote additionally serves the burst over the wire codec:\n"
-             "a SocketServer on a Unix-domain socket (plus a loopback-TCP\n"
-             "sanity check), --clients concurrent BlockingClient threads,\n"
-             "every answer value-bit-compared against its direct-Submit\n"
-             "oracle; a malformed-frame probe (bad magic/version/CRC,\n"
-             "oversized length, torn writes, out-of-range kind) that must\n"
-             "elicit typed rejects; and an in-process loopback A/B gating\n"
-             "codec overhead at <= 5% of direct-Submit time.\n"
-             "--chaos serves the burst through an in-process fault-injecting\n"
-             "proxy (spec grammar: seed=N,delay@p=F:ms=F,split@p=F,\n"
-             "stall@p=F:ms=F,dup@p=F,drop@p=F,reset@p=F; 'default' for the\n"
-             "built-in mix) with retrying clients: completed answers must\n"
-             "stay value-bit-equal to their oracles, failures must stay\n"
-             "typed and inside the retry policy's worst-case wall bound,\n"
-             "and the process fd count must return to its baseline.\n"
-             "--drain exercises graceful shutdown over the socket: Drain()\n"
-             "must answer every in-flight request, reject new ones with\n"
-             "server-stopping, and report a clean (no-drop) drain.\n"
+             "batch_max=64 + cache, plus a cache replay) and an in-process\n"
+             "codec A/B (the burst through encode/decode without sockets)\n"
+             "always run.\n"
              "--smoke shrinks the run and gates (exit 1) on the ledger\n"
              "identities, a per-kind one-shot-oracle fingerprint sample,\n"
-             "and value-fingerprint equality of every batched and cached\n"
-             "probe answer against its one-shot oracle.\n"
+             "value-fingerprint equality of every batched, cached and\n"
+             "codec-loopback answer against its one-shot oracle, and codec\n"
+             "time <= 5% of direct-Submit time (waived under sanitizers).\n"
              "JSON (stdout, and --json <path>):\n"
              "{graph: {vertices, edges, rmat_scale, seed},\n"
              " config: {workers, queue_capacity, target_qps, queries,\n"
@@ -217,6 +164,7 @@ Args Parse(int argc, char** argv) {
              "  hot_fraction, seed},\n"
              " wall_ms, throughput_qps, offered_qps,\n"
              " latency_ms: {p50, p99, max, mean},\n"
+             " submit_lag_ms: {p99, max},\n"
              " rates: {shed, fault, retry},\n"
              " ledger: {submitted, admitted, shed_queue_full, shed_deadline,\n"
              "  rejected_invalid, completed, faulted, cancelled,\n"
@@ -226,20 +174,10 @@ Args Parse(int argc, char** argv) {
              " batching: {probe_queries, unbatched_wall_ms, batched_wall_ms,\n"
              "  unbatched_qps, batched_qps, speedup, batched_runs},\n"
              " cache: {open_loop_hit_rate, replay_hits, replay_wall_ms},\n"
+             " codec: {direct_ms, loopback_ms, codec_ms, codec_overhead},\n"
              " pool: {submits, contended_submits, inline_runs},\n"
-             " remote (with --remote): {clients, responses, mismatches,\n"
-             "  wall_ms, tcp_ok, malformed_ok, direct_ms, loopback_ms,\n"
-             "  codec_ms, codec_overhead, server: {accepted, requests,\n"
-             "  responses, rejects, decode_errors, fatal_decode_errors,\n"
-             "  bytes_rx, bytes_tx}},\n"
-             " chaos (with --chaos): {spec, completed, rejected, failed,\n"
-             "  mismatches, hangs, fd_ok, wall_ms, retry: {...}, proxy: {...},\n"
-             "  server: {...}},\n"
-             " drain (with --drain): {clean, responses, stopping_rejects,\n"
-             "  drained_replies, drain_dropped, wall_ms},\n"
-             " ledger_ok, oracle_ok, batch_oracle_ok, cache_oracle_ok\n"
-             " (+ remote_ok, codec_overhead_ok with --remote;\n"
-             "  chaos_ok with --chaos; drain_ok with --drain)}\n";
+             " ledger_ok, oracle_ok, batch_oracle_ok, cache_oracle_ok,\n"
+             " codec_ok, codec_overhead_ok}\n";
       std::exit(0);
     } else {
       std::cerr << "usage: " << argv[0]
@@ -247,8 +185,7 @@ Args Parse(int argc, char** argv) {
                    " [--seed N] [--workers N] [--queue-capacity N] [--qps R]"
                    " [--queries N] [--fault-rate F] [--deadline-ms D]"
                    " [--batch N] [--cache N] [--hot-fraction F]"
-                   " [--json out.json] [--remote] [--clients N]"
-                   " [--chaos default|SPEC] [--drain] [--smoke] [--help]\n";
+                   " [--json out.json] [--smoke] [--help]\n";
       std::exit(2);
     }
   }
@@ -332,326 +269,36 @@ bool LedgerHolds(const ServiceStats& s) {
   return ok;
 }
 
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    return 0.0;
-  }
-  const size_t idx = static_cast<size_t>(p * (sorted.size() - 1));
-  return sorted[idx];
-}
+// ---- the codec A/B: what does the wire format itself cost? ----
 
-// ---- --remote: the wire codec + socket dispatch loop under load ----
-
-struct RemoteReport {
-  bool ran = false;
-  bool remote_ok = true;         // every socket-served answer == its oracle
-  bool malformed_ok = true;      // every hostile frame -> the expected reject
-  bool tcp_ok = true;            // loopback-TCP round trip
-  bool codec_overhead_ok = true; // codec_ms <= 5% of direct_ms
-  uint64_t responses = 0;
-  uint64_t mismatches = 0;
-  double wall_ms = 0.0;     // concurrent-client phase
-  double direct_ms = 0.0;   // A: burst via plain Submit
-  double loopback_ms = 0.0; // B: burst via encode->decode->Submit->encode->decode
-  double codec_ms = 0.0;    // codec-only time accumulated inside pass B
+struct CodecReport {
+  bool codec_ok = true;           // every loopback answer == its oracle
+  bool codec_overhead_ok = true;  // codec_ms <= 5% of direct_ms
+  double direct_ms = 0.0;    // A: burst via plain Submit
+  double loopback_ms = 0.0;  // B: burst via encode->decode->Submit->encode->decode
+  double codec_ms = 0.0;     // codec-only time accumulated inside pass B
   double codec_overhead = 0.0;  // codec_ms / direct_ms
-  service::ServerStats server;
 };
 
-double NowWallMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-RemoteReport RunRemote(const Graph& g, const ServiceOptions& base,
+// Pass A answers the burst via plain Submit; pass B runs the full wire shape
+// without sockets (encode request -> decode -> Submit -> encode response ->
+// decode) and accumulates the codec-only time with a fine-grained clock. The
+// gate is codec_ms <= 5% of direct_ms: engine runs are milliseconds and
+// frames are microseconds, and gating on the accumulated codec time (rather
+// than B-minus-A wall time) keeps the 5% check meaningful on a noisy box.
+// Both services answer solo: batching and caching equality are gated by the
+// closed probe, so every loopback answer is a fresh engine run.
+CodecReport RunCodecAB(const Graph& g, const ServiceOptions& base,
                        const std::vector<VertexId>& burst,
-                       const std::vector<uint64_t>& oracle_vfp,
-                       uint32_t client_threads) {
-  RemoteReport rep;
-  rep.ran = true;
-
-  // Wire-path focus: batching and caching equality are already gated by the
-  // closed probe, so the remote service answers solo — every socket answer
-  // is a fresh engine run compared bit-for-bit against its one-shot oracle.
+                       const std::vector<uint64_t>& oracle_vfp) {
+  CodecReport rep;
   ServiceOptions so = base;
   so.batch_max = 1;
   so.cache_capacity = 0;
   so.start_paused = false;
-  GraphService svc(g, so);
-
-  service::ServerOptions sopts;
-  {
-    std::ostringstream path;
-    path << "/tmp/simdx_qps_" << ::getpid() << ".sock";
-    sopts.uds_path = path.str();
-  }
-  sopts.tcp = true;  // ephemeral loopback port, sanity-checked below
-  // Lifecycle hardening stays ARMED here even though no chaos runs in this
-  // phase: the remote gates (oracle equality, hostile frames, wall time)
-  // thereby measure the resilience hooks' cost on the clean path. The
-  // budgets sit far above anything a healthy run produces — the torn-write
-  // probe's deliberate 20 ms mid-frame pause must survive header_timeout_ms.
-  sopts.idle_timeout_ms = 10000.0;
-  sopts.header_timeout_ms = 2000.0;
-  sopts.max_pipeline = 64;
-  service::SocketServer server(svc, sopts);
-  std::string err;
-  if (!server.Start(&err)) {
-    std::cerr << "remote: server start failed: " << err << "\n";
-    rep.remote_ok = false;
-    svc.Shutdown();
-    return rep;
-  }
-
-  // Phase 1: concurrent process-style clients. Each thread owns one UDS
-  // connection (its own FrameDecoder state, like an independent process) and
-  // round-robins through the burst; want_values pulls the raw level arrays
-  // across the wire so "bit-equal" is checked on the bytes themselves, not
-  // just the fingerprint the server computed.
-  std::atomic<uint64_t> responses{0};
-  std::atomic<uint64_t> mismatches{0};
-  const uint32_t n_clients = std::max<uint32_t>(1, client_threads);
-  const double t0 = NowWallMs();
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(n_clients);
-    for (uint32_t c = 0; c < n_clients; ++c) {
-      threads.emplace_back([&, c] {
-        service::BlockingClient cli;
-        std::string e;
-        if (cli.ConnectUds(sopts.uds_path, &e) != service::ClientStatus::kOk) {
-          std::cerr << "remote client " << c << ": connect failed: " << e
-                    << "\n";
-          mismatches.fetch_add(1);
-          return;
-        }
-        for (size_t i = c; i < burst.size(); i += n_clients) {
-          Query q;
-          q.kind = QueryKind::kBfs;
-          q.source = burst[i];
-          q.want_values = true;
-          wire::Frame reply;
-          const auto st = cli.Call(service::ToRequestFrame(q), &reply, &e);
-          if (st != service::ClientStatus::kOk ||
-              reply.type != wire::MsgType::kResponse) {
-            std::cerr << "remote client " << c << ": call for source "
-                      << burst[i] << " failed: " << ToString(st) << " " << e
-                      << "\n";
-            mismatches.fetch_add(1);
-            continue;
-          }
-          const auto& r = reply.response;
-          const uint64_t bytes_vfp =
-              ValueBytesFingerprint(r.value_bytes.data(), r.value_bytes.size());
-          if (r.value_fingerprint != oracle_vfp[i] ||
-              bytes_vfp != oracle_vfp[i]) {
-            std::cerr << "remote: answer for source " << burst[i]
-                      << " diverged from its direct-Submit oracle\n";
-            mismatches.fetch_add(1);
-            continue;
-          }
-          responses.fetch_add(1);
-        }
-      });
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
-  }
-  rep.wall_ms = NowWallMs() - t0;
-  rep.responses = responses.load();
-  rep.mismatches = mismatches.load();
-  rep.remote_ok = rep.mismatches == 0 && rep.responses == burst.size();
-
-  // Phase 2: the hostile-frame probe. Every case must come back as a TYPED
-  // reject — never a crash, never silence — and the fatal/recoverable split
-  // must match the codec's IsFatal contract: header-level corruption closes
-  // the stream (frame sync is gone), body-level failures leave the same
-  // connection serving real queries.
-  const auto valid_request_bytes = [&](uint8_t kind_byte) {
-    Query q;
-    q.kind = QueryKind::kBfs;
-    q.source = burst[0];
-    q.want_values = true;
-    wire::RequestFrame f = service::ToRequestFrame(q);
-    f.request_id = 7;
-    f.kind = kind_byte;
-    std::vector<uint8_t> b;
-    wire::EncodeRequest(f, &b);
-    return b;
-  };
-  const uint8_t kBfsByte = static_cast<uint8_t>(QueryKind::kBfs);
-  struct HostileCase {
-    const char* name;
-    std::vector<uint8_t> bytes;
-    wire::RejectCode expect;
-    bool fatal;
-  };
-  std::vector<HostileCase> cases;
-  {
-    auto b = valid_request_bytes(kBfsByte);
-    b[0] ^= 0xFF;  // magic
-    cases.push_back({"bad-magic", b, wire::RejectCode::kBadFrame, true});
-  }
-  {
-    auto b = valid_request_bytes(kBfsByte);
-    b[4] ^= 0xFF;  // version
-    cases.push_back({"bad-version", b, wire::RejectCode::kBadFrame, true});
-  }
-  {
-    auto b = valid_request_bytes(kBfsByte);
-    b.back() ^= 0xFF;  // body byte no longer matches the header CRC
-    cases.push_back({"bad-crc", b, wire::RejectCode::kBadFrame, true});
-  }
-  {
-    // A hostile 4 GiB body_length: refused from the header alone, before
-    // any allocation — no body bytes ever need to arrive.
-    auto b = valid_request_bytes(kBfsByte);
-    b.resize(wire::kFrameHeaderBytes);
-    const uint32_t huge = 0xFFFFFFFFu;
-    std::memcpy(&b[8], &huge, sizeof(huge));
-    cases.push_back({"oversized-length", b, wire::RejectCode::kBadFrame, true});
-  }
-  {
-    // Unknown msg type with a structurally perfect (empty) body: framing
-    // survives, so the connection must keep working after the reject.
-    std::vector<uint8_t> b;
-    ByteWriter w(&b);
-    w.Pod(wire::kFrameMagic);
-    w.Pod(wire::kWireVersion);
-    w.Pod(static_cast<uint16_t>(99));
-    w.Pod(uint32_t{0});
-    w.Pod(Crc32(b.data(), 0));
-    cases.push_back(
-        {"unknown-msg-type", b, wire::RejectCode::kMalformedBody, false});
-  }
-  {
-    // CRC-valid garbage body under a request header.
-    const std::vector<uint8_t> body = {1, 2, 3};
-    std::vector<uint8_t> b;
-    ByteWriter w(&b);
-    w.Pod(wire::kFrameMagic);
-    w.Pod(wire::kWireVersion);
-    w.Pod(static_cast<uint16_t>(wire::MsgType::kRequest));
-    w.Pod(static_cast<uint32_t>(body.size()));
-    w.Pod(Crc32(body.data(), body.size()));
-    w.Bytes(body.data(), body.size());
-    cases.push_back(
-        {"garbage-body", b, wire::RejectCode::kMalformedBody, false});
-  }
-  {
-    // Structurally valid frame whose kind byte is outside QueryKind: the
-    // codec passes it through (structure, not range) and ADMISSION refuses
-    // it — the cross-layer contract of the kind-byte bound-guard fix.
-    cases.push_back({"out-of-range-kind", valid_request_bytes(200),
-                     wire::RejectCode::kInvalidQuery, false});
-  }
-  for (const auto& hc : cases) {
-    service::BlockingClient cli;
-    std::string e;
-    if (cli.ConnectUds(sopts.uds_path, &e) != service::ClientStatus::kOk) {
-      std::cerr << "remote probe " << hc.name << ": connect failed: " << e
-                << "\n";
-      rep.malformed_ok = false;
-      continue;
-    }
-    if (cli.SendRaw(hc.bytes.data(), hc.bytes.size(), &e) !=
-        service::ClientStatus::kOk) {
-      std::cerr << "remote probe " << hc.name << ": send failed: " << e << "\n";
-      rep.malformed_ok = false;
-      continue;
-    }
-    wire::Frame reply;
-    auto st = cli.ReadFrame(&reply, &e);
-    if (st != service::ClientStatus::kOk ||
-        reply.type != wire::MsgType::kReject ||
-        reply.reject.code != static_cast<uint8_t>(hc.expect)) {
-      std::cerr << "remote probe " << hc.name
-                << ": expected a typed reject, got status=" << ToString(st)
-                << " " << e << "\n";
-      rep.malformed_ok = false;
-      continue;
-    }
-    if (hc.fatal) {
-      // Frame sync is lost: the server closes after the reject flushes.
-      st = cli.ReadFrame(&reply, &e);
-      if (st != service::ClientStatus::kRecvFailed) {
-        std::cerr << "remote probe " << hc.name
-                  << ": stream survived a fatal decode error\n";
-        rep.malformed_ok = false;
-      }
-    } else {
-      // Framing intact: the SAME connection must still answer a real query.
-      Query q;
-      q.kind = QueryKind::kBfs;
-      q.source = burst[0];
-      q.want_values = true;
-      st = cli.Call(service::ToRequestFrame(q), &reply, &e);
-      if (st != service::ClientStatus::kOk ||
-          reply.type != wire::MsgType::kResponse ||
-          reply.response.value_fingerprint != oracle_vfp[0]) {
-        std::cerr << "remote probe " << hc.name
-                  << ": connection unusable after a recoverable reject\n";
-        rep.malformed_ok = false;
-      }
-    }
-  }
-  {
-    // Torn mid-frame write: a frame split across two sends (with a pause in
-    // between) reassembles through kNeedMore into a normal answer.
-    service::BlockingClient cli;
-    std::string e;
-    const auto b = valid_request_bytes(kBfsByte);
-    wire::Frame reply;
-    if (cli.ConnectUds(sopts.uds_path, &e) != service::ClientStatus::kOk ||
-        cli.SendRaw(b.data(), 10, &e) != service::ClientStatus::kOk ||
-        (std::this_thread::sleep_for(std::chrono::milliseconds(20)),
-         cli.SendRaw(b.data() + 10, b.size() - 10, &e)) !=
-            service::ClientStatus::kOk ||
-        cli.ReadFrame(&reply, &e) != service::ClientStatus::kOk ||
-        reply.type != wire::MsgType::kResponse || reply.response.request_id != 7 ||
-        reply.response.value_fingerprint != oracle_vfp[0]) {
-      std::cerr << "remote probe torn-write: reassembly failed: " << e << "\n";
-      rep.malformed_ok = false;
-    }
-  }
-
-  // Phase 3: loopback-TCP sanity — same server, same answer.
-  {
-    service::BlockingClient cli;
-    std::string e;
-    wire::Frame reply;
-    Query q;
-    q.kind = QueryKind::kBfs;
-    q.source = burst[0];
-    q.want_values = true;
-    if (cli.ConnectTcp("127.0.0.1", server.tcp_port(), &e) !=
-            service::ClientStatus::kOk ||
-        cli.Call(service::ToRequestFrame(q), &reply, &e) !=
-            service::ClientStatus::kOk ||
-        reply.type != wire::MsgType::kResponse ||
-        reply.response.value_fingerprint != oracle_vfp[0]) {
-      std::cerr << "remote: TCP round trip failed: " << e << "\n";
-      rep.tcp_ok = false;
-    }
-  }
-
-  rep.server = server.stats();
-  server.Stop();
-  svc.Shutdown();
-
-  // Phase 4: in-process loopback A/B — what does the codec itself cost?
-  // Pass A answers the burst via plain Submit; pass B runs the full wire
-  // shape without sockets (encode request -> decode -> Submit -> encode
-  // response -> decode) and accumulates the codec-only time with a
-  // fine-grained clock. The gate is codec_ms <= 5% of direct_ms: engine
-  // runs are milliseconds and frames are microseconds, and gating on the
-  // accumulated codec time (rather than B-minus-A wall time) keeps the 5%
-  // check meaningful on a noisy single-core CI box.
   {
     GraphService direct(g, so);
-    const double a0 = NowWallMs();
+    const double a0 = HostNowMs();
     for (VertexId s : burst) {
       Query q;
       q.kind = QueryKind::kBfs;
@@ -662,7 +309,7 @@ RemoteReport RunRemote(const Graph& g, const ServiceOptions& base,
         ticket.result.get();
       }
     }
-    rep.direct_ms = NowWallMs() - a0;
+    rep.direct_ms = HostNowMs() - a0;
     direct.Shutdown();
   }
   {
@@ -673,8 +320,7 @@ RemoteReport RunRemote(const Graph& g, const ServiceOptions& base,
     // per-connection buffers — per-frame allocation is not a codec cost.
     std::vector<uint8_t> req_bytes;
     std::vector<uint8_t> resp_bytes;
-    double codec_ms = 0.0;
-    const double b0 = NowWallMs();
+    const double b0 = HostNowMs();
     for (size_t i = 0; i < burst.size(); ++i) {
       Query q;
       q.kind = QueryKind::kBfs;
@@ -683,16 +329,16 @@ RemoteReport RunRemote(const Graph& g, const ServiceOptions& base,
       wire::RequestFrame rf = service::ToRequestFrame(q);
       rf.request_id = i + 1;
 
-      double c0 = NowWallMs();
+      double c0 = HostNowMs();
       req_bytes.clear();
       wire::EncodeRequest(rf, &req_bytes);
       req_dec.Feed(req_bytes.data(), req_bytes.size());
       wire::Frame in;
       const auto dst = req_dec.Next(&in);
-      codec_ms += NowWallMs() - c0;
+      rep.codec_ms += HostNowMs() - c0;
       if (dst != wire::DecodeStatus::kOk || in.type != wire::MsgType::kRequest) {
-        std::cerr << "loopback: request round trip failed\n";
-        rep.remote_ok = false;
+        std::cerr << "codec: request round trip failed\n";
+        rep.codec_ok = false;
         break;
       }
 
@@ -707,13 +353,13 @@ RemoteReport RunRemote(const Graph& g, const ServiceOptions& base,
       dq.fault_spec = in.request.fault_spec;
       auto ticket = loop.Submit(dq);
       if (ticket.verdict != AdmissionVerdict::kAdmitted) {
-        std::cerr << "loopback: burst query not admitted\n";
-        rep.remote_ok = false;
+        std::cerr << "codec: burst query not admitted\n";
+        rep.codec_ok = false;
         break;
       }
       QueryResult r = ticket.result.get();
 
-      c0 = NowWallMs();
+      c0 = HostNowMs();
       wire::ResponseFrame out;
       out.request_id = in.request.request_id;
       out.kind = static_cast<uint8_t>(r.kind);
@@ -729,352 +375,32 @@ RemoteReport RunRemote(const Graph& g, const ServiceOptions& base,
       resp_dec.Feed(resp_bytes.data(), resp_bytes.size());
       wire::Frame back;
       const auto bst = resp_dec.Next(&back);
-      codec_ms += NowWallMs() - c0;
+      rep.codec_ms += HostNowMs() - c0;
       if (bst != wire::DecodeStatus::kOk ||
           back.type != wire::MsgType::kResponse ||
-          back.response.value_fingerprint != oracle_vfp[i]) {
-        std::cerr << "loopback: response " << i
-                  << " diverged from its oracle\n";
-        rep.remote_ok = false;
+          back.response.value_fingerprint != oracle_vfp[i] ||
+          ValueBytesFingerprint(back.response.value_bytes.data(),
+                                back.response.value_bytes.size()) !=
+              oracle_vfp[i]) {
+        std::cerr << "codec: response " << i << " diverged from its oracle\n";
+        rep.codec_ok = false;
         break;
       }
     }
-    rep.loopback_ms = NowWallMs() - b0;
-    rep.codec_ms = codec_ms;
+    rep.loopback_ms = HostNowMs() - b0;
     loop.Shutdown();
   }
-  rep.codec_overhead =
-      rep.direct_ms > 0.0 ? rep.codec_ms / rep.direct_ms : 0.0;
+  rep.codec_overhead = rep.direct_ms > 0.0 ? rep.codec_ms / rep.direct_ms : 0.0;
   // The 5% bound is a release-build claim: sanitizer instrumentation
   // multiplies the codec's memcpy-ish work far more than engine compute, so
   // the ratio would measure the sanitizer. Waived there (printed), like
-  // every other wall-clock ratio gate in this harness; the bit-equality and
-  // reject-taxonomy gates above stay enforced everywhere.
+  // every other wall-clock ratio gate in the bench harness; the bit-equality
+  // gate stays enforced everywhere.
   rep.codec_overhead_ok = rep.codec_overhead <= 0.05;
   if (!rep.codec_overhead_ok && SanitizedBuild()) {
     std::cerr << "codec-overhead gate SKIPPED: sanitizer build (overhead="
               << rep.codec_overhead << "; correctness gates still enforced)\n";
     rep.codec_overhead_ok = true;
-  }
-  return rep;
-}
-
-// ---- --chaos: the burst served through a fault-injecting proxy ----
-
-int CountOpenFds() {
-  DIR* d = ::opendir("/proc/self/fd");
-  if (d == nullptr) {
-    return -1;
-  }
-  int n = 0;
-  while (::readdir(d) != nullptr) {
-    ++n;
-  }
-  ::closedir(d);
-  return n;
-}
-
-struct ChaosReport {
-  bool ran = false;
-  bool chaos_ok = true;
-  std::string spec;
-  uint64_t completed = 0;   // kOk responses, value-bit-compared
-  uint64_t rejected = 0;    // typed server rejects (successful transport)
-  uint64_t failed = 0;      // typed client-side transport failures
-  uint64_t mismatches = 0;  // accepted answers that diverged from the oracle
-  uint64_t hangs = 0;       // calls over the retry policy's wall bound
-  bool fd_ok = true;        // fd count returned to its pre-phase baseline
-  double wall_ms = 0.0;
-  service::RetryLedger retry;  // summed across client threads
-  service::ChaosStats proxy;
-  service::ServerStats server;
-};
-
-ChaosReport RunChaos(const Graph& g, const ServiceOptions& base,
-                     const std::vector<VertexId>& burst,
-                     const std::vector<uint64_t>& oracle_vfp,
-                     const service::ChaosSpec& spec, uint32_t client_threads,
-                     bool smoke) {
-  ChaosReport rep;
-  rep.ran = true;
-  rep.spec = spec.Describe();
-  const int fd_baseline = CountOpenFds();
-
-  ServiceOptions so = base;
-  so.batch_max = 1;
-  so.cache_capacity = 0;
-  so.start_paused = false;
-  GraphService svc(g, so);
-
-  service::ServerOptions sopts;
-  {
-    std::ostringstream path;
-    path << "/tmp/simdx_qps_chaos_" << ::getpid() << ".sock";
-    sopts.uds_path = path.str();
-  }
-  // The server defends itself too: chaos-mangled streams must not park
-  // half-frames or idle connections on it.
-  sopts.header_timeout_ms = 500.0;
-  sopts.idle_timeout_ms = 2000.0;
-  sopts.max_pipeline = 8;
-  service::SocketServer server(svc, sopts);
-  std::string err;
-  if (!server.Start(&err)) {
-    std::cerr << "chaos: server start failed: " << err << "\n";
-    rep.chaos_ok = false;
-    svc.Shutdown();
-    return rep;
-  }
-
-  std::string front;
-  {
-    std::ostringstream path;
-    path << "/tmp/simdx_qps_chaosfront_" << ::getpid() << ".sock";
-    front = path.str();
-  }
-  service::ChaosProxy proxy(spec, front, sopts.uds_path);
-  if (!proxy.Start(&err)) {
-    std::cerr << "chaos: proxy start failed: " << err << "\n";
-    rep.chaos_ok = false;
-    server.Stop();
-    svc.Shutdown();
-    return rep;
-  }
-
-  std::atomic<uint64_t> completed{0};
-  std::atomic<uint64_t> rejected{0};
-  std::atomic<uint64_t> failed{0};
-  std::atomic<uint64_t> mismatches{0};
-  std::atomic<uint64_t> hangs{0};
-  std::mutex ledger_mu;
-  const uint32_t n_clients = std::max<uint32_t>(1, client_threads);
-  const uint32_t calls_each = smoke ? 6 : 12;
-  const double t0 = NowWallMs();
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(n_clients);
-    for (uint32_t c = 0; c < n_clients; ++c) {
-      threads.emplace_back([&, c] {
-        service::RetryPolicy pol;
-        pol.jitter_seed = c + 1;
-        pol.timeouts = service::ClientTimeouts{1000.0, 1000.0, 3000.0};
-        const double wall_bound_ms = service::MaxCallWallMs(pol) + 2000.0;
-        service::RetryingClient rc(pol);
-        rc.TargetUds(front);
-        for (uint32_t m = 0; m < calls_each; ++m) {
-          const size_t i = (c * calls_each + m) % burst.size();
-          Query q;
-          q.kind = QueryKind::kBfs;
-          q.source = burst[i];
-          q.want_values = true;
-          wire::Frame reply;
-          std::string e;
-          const double c0 = NowWallMs();
-          const auto st = rc.Call(service::ToRequestFrame(q), &reply, &e);
-          if (NowWallMs() - c0 > wall_bound_ms) {
-            hangs.fetch_add(1);
-          }
-          if (st == service::ClientStatus::kOk) {
-            if (reply.type == wire::MsgType::kResponse) {
-              const auto& r = reply.response;
-              const uint64_t bytes_vfp = ValueBytesFingerprint(
-                  r.value_bytes.data(), r.value_bytes.size());
-              if (r.value_fingerprint != oracle_vfp[i] ||
-                  bytes_vfp != oracle_vfp[i]) {
-                std::cerr << "chaos: answer for source " << burst[i]
-                          << " diverged from its oracle\n";
-                mismatches.fetch_add(1);
-              } else {
-                completed.fetch_add(1);
-              }
-            } else {
-              rejected.fetch_add(1);
-            }
-          } else {
-            failed.fetch_add(1);
-          }
-        }
-        rc.Close();
-        const service::RetryLedger& l = rc.ledger();
-        std::lock_guard<std::mutex> lock(ledger_mu);
-        rep.retry.calls += l.calls;
-        rep.retry.ok += l.ok;
-        rep.retry.failed += l.failed;
-        rep.retry.attempts += l.attempts;
-        rep.retry.reconnects += l.reconnects;
-        rep.retry.retried_connect += l.retried_connect;
-        rep.retry.retried_send += l.retried_send;
-        rep.retry.retried_recv += l.retried_recv;
-        rep.retry.retried_timeout += l.retried_timeout;
-        rep.retry.failfast_typed += l.failfast_typed;
-        rep.retry.backoff_ms_total += l.backoff_ms_total;
-      });
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
-  }
-  rep.wall_ms = NowWallMs() - t0;
-  proxy.Stop();
-  rep.proxy = proxy.stats();
-  rep.server = server.stats();
-  server.Stop();
-  svc.Shutdown();
-
-  rep.completed = completed.load();
-  rep.rejected = rejected.load();
-  rep.failed = failed.load();
-  rep.mismatches = mismatches.load();
-  rep.hangs = hangs.load();
-
-  // fd-leak gate: closes can trail the teardown by a poll cycle.
-  const double fd_deadline = NowWallMs() + 5000.0;
-  while (CountOpenFds() > fd_baseline && NowWallMs() < fd_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  rep.fd_ok = CountOpenFds() <= fd_baseline;
-  rep.chaos_ok = rep.mismatches == 0 && rep.hangs == 0 && rep.fd_ok &&
-                 rep.completed > 0;
-  if (!rep.chaos_ok) {
-    std::cerr << "chaos: FAILED (completed=" << rep.completed
-              << " mismatches=" << rep.mismatches << " hangs=" << rep.hangs
-              << " fd_ok=" << rep.fd_ok << ")\n";
-  }
-  return rep;
-}
-
-// ---- --drain: graceful shutdown observed from the wire ----
-
-struct DrainReport {
-  bool ran = false;
-  bool drain_ok = true;
-  bool clean = false;             // Drain() returned true (nothing dropped)
-  uint64_t responses = 0;         // in-flight replies delivered during drain
-  uint64_t stopping_rejects = 0;  // new requests answered kServerStopping
-  uint64_t drained_replies = 0;   // server ledger
-  uint64_t drain_dropped = 0;     // server ledger
-  double wall_ms = 0.0;
-};
-
-DrainReport RunDrain(const Graph& g, const ServiceOptions& base,
-                     const std::vector<VertexId>& burst,
-                     const std::vector<uint64_t>& oracle_vfp) {
-  DrainReport rep;
-  rep.ran = true;
-
-  // start_paused parks the in-flight requests so Drain() demonstrably
-  // happens BEFORE their answers exist — delivery during drain is then the
-  // only way the responses can arrive.
-  ServiceOptions so = base;
-  so.batch_max = 1;
-  so.cache_capacity = 0;
-  so.start_paused = true;
-  GraphService svc(g, so);
-
-  service::ServerOptions sopts;
-  {
-    std::ostringstream path;
-    path << "/tmp/simdx_qps_drain_" << ::getpid() << ".sock";
-    sopts.uds_path = path.str();
-  }
-  service::SocketServer server(svc, sopts);
-  std::string err;
-  if (!server.Start(&err)) {
-    std::cerr << "drain: server start failed: " << err << "\n";
-    rep.drain_ok = false;
-    svc.Shutdown();
-    return rep;
-  }
-
-  service::BlockingClient cli(service::ClientTimeouts{2000.0, 2000.0, 10000.0});
-  std::string e;
-  constexpr uint32_t kInFlight = 4;
-  bool setup_ok =
-      cli.ConnectUds(sopts.uds_path, &e) == service::ClientStatus::kOk;
-  for (uint32_t i = 0; setup_ok && i < kInFlight; ++i) {
-    Query q;
-    q.kind = QueryKind::kBfs;
-    q.source = burst[i % burst.size()];
-    q.want_values = true;
-    wire::RequestFrame rf = service::ToRequestFrame(q);
-    rf.request_id = i + 1;
-    std::vector<uint8_t> b;
-    wire::EncodeRequest(rf, &b);
-    setup_ok = cli.SendRaw(b.data(), b.size(), &e) == service::ClientStatus::kOk;
-  }
-  // The server must have DECODED all of them before Drain starts, or a
-  // late-arriving request would legitimately be a "new" one.
-  const double decode_deadline = NowWallMs() + 5000.0;
-  while (setup_ok && server.stats().requests < kInFlight &&
-         NowWallMs() < decode_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  if (!setup_ok || server.stats().requests < kInFlight) {
-    std::cerr << "drain: setup failed: " << e << "\n";
-    rep.drain_ok = false;
-    server.Stop();
-    svc.Shutdown();
-    return rep;
-  }
-
-  const double t0 = NowWallMs();
-  bool clean = false;
-  std::thread drainer([&] { clean = server.Drain(15000.0); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-
-  // A request arriving mid-drain must get the typed stopping reject.
-  {
-    Query q;
-    q.kind = QueryKind::kBfs;
-    q.source = burst[0];
-    wire::RequestFrame rf = service::ToRequestFrame(q);
-    rf.request_id = 99;
-    std::vector<uint8_t> b;
-    wire::EncodeRequest(rf, &b);
-    if (cli.SendRaw(b.data(), b.size(), &e) != service::ClientStatus::kOk) {
-      std::cerr << "drain: mid-drain send failed: " << e << "\n";
-      rep.drain_ok = false;
-    }
-  }
-  svc.Resume();  // now the parked answers can materialize
-
-  for (uint32_t i = 0; i < kInFlight + 1; ++i) {
-    wire::Frame reply;
-    if (cli.ReadFrame(&reply, &e) != service::ClientStatus::kOk) {
-      std::cerr << "drain: read " << i << " failed: " << e << "\n";
-      rep.drain_ok = false;
-      break;
-    }
-    if (reply.type == wire::MsgType::kResponse) {
-      const uint64_t want = oracle_vfp[(reply.response.request_id - 1) %
-                                       burst.size()];
-      if (reply.response.value_fingerprint == want) {
-        ++rep.responses;
-      } else {
-        std::cerr << "drain: drained answer diverged from its oracle\n";
-        rep.drain_ok = false;
-      }
-    } else if (reply.type == wire::MsgType::kReject &&
-               reply.reject.code ==
-                   static_cast<uint8_t>(wire::RejectCode::kServerStopping)) {
-      ++rep.stopping_rejects;
-    }
-  }
-  drainer.join();
-  rep.wall_ms = NowWallMs() - t0;
-  rep.clean = clean;
-  const service::ServerStats ss = server.stats();
-  rep.drained_replies = ss.drained_replies;
-  rep.drain_dropped = ss.drain_dropped;
-  svc.Shutdown();
-
-  rep.drain_ok = rep.drain_ok && rep.clean && rep.responses == kInFlight &&
-                 rep.stopping_rejects == 1 && rep.drain_dropped == 0;
-  if (!rep.drain_ok) {
-    std::cerr << "drain: FAILED (clean=" << rep.clean
-              << " responses=" << rep.responses
-              << " stopping_rejects=" << rep.stopping_rejects
-              << " drain_dropped=" << rep.drain_dropped << ")\n";
   }
   return rep;
 }
@@ -1152,22 +478,23 @@ int Main(int argc, char** argv) {
   }
 
   // ---- drive the load ----
+  // Each answer is timed from its SCHEDULED arrival: a late Submit (the
+  // generator fell behind) is charged to the query it delayed, so a stall
+  // cannot hide (no coordinated omission).
   GraphService svc(g, so);
   const auto pool_before = ThreadPool::Global().telemetry();
   std::vector<GraphService::Ticket> tickets(plan.size());
-  const auto start = std::chrono::steady_clock::now();
+  std::vector<double> submit_lag_ms(plan.size());
+  const double start_ms = HostNowMs();
   for (size_t i = 0; i < plan.size(); ++i) {
-    const auto due =
-        start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(plan[i].at_s));
-    std::this_thread::sleep_until(due);  // open loop: never waits on results
+    const double due_ms = start_ms + plan[i].at_s * 1000.0;
+    std::this_thread::sleep_for(  // open loop: never waits on results
+        std::chrono::duration<double, std::milli>(due_ms - HostNowMs()));
+    submit_lag_ms[i] = std::max(0.0, HostNowMs() - due_ms);
     tickets[i] = svc.Submit(plan[i].query);
   }
   svc.Drain();
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                start)
-          .count();
+  const double wall_ms = HostNowMs() - start_ms;
   const auto pool_after = ThreadPool::Global().telemetry();
   const ServiceStats stats = svc.stats();
 
@@ -1180,7 +507,7 @@ int Main(int argc, char** argv) {
     }
     const QueryResult r = tickets[i].result.get();
     if (r.ok()) {
-      latencies_ms.push_back(r.queue_ms + r.run_ms);
+      latencies_ms.push_back(submit_lag_ms[i] + r.queue_ms + r.run_ms);
     }
   }
   std::sort(latencies_ms.begin(), latencies_ms.end());
@@ -1189,6 +516,10 @@ int Main(int argc, char** argv) {
     mean_ms += l;
   }
   mean_ms = latencies_ms.empty() ? 0.0 : mean_ms / latencies_ms.size();
+  std::sort(submit_lag_ms.begin(), submit_lag_ms.end());
+  // Offered rate over the arrival window only: the drain after the last
+  // arrival is service time, not offered load.
+  const double arrival_window_s = plan.empty() ? 0.0 : plan.back().at_s;
 
   const bool ledger_ok = LedgerHolds(stats);
   const bool oracle_ok = OracleSampleMatches(g, so);
@@ -1322,24 +653,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // ---- remote mode: the same burst served across the process boundary ----
-  RemoteReport remote;
-  if (args.remote) {
-    remote = RunRemote(g, so, burst, burst_oracle_vfp, args.clients);
-  }
-
-  // ---- chaos mode: the same burst through the fault-injecting proxy ----
-  ChaosReport chaos;
-  if (args.chaos) {
-    chaos = RunChaos(g, so, burst, burst_oracle_vfp, args.chaos_spec,
-                     args.clients, args.smoke);
-  }
-
-  // ---- drain mode: graceful shutdown observed from the wire ----
-  DrainReport drain;
-  if (args.drain) {
-    drain = RunDrain(g, so, burst, burst_oracle_vfp);
-  }
+  // ---- codec A/B: the same burst through the wire format, no sockets ----
+  const CodecReport codec = RunCodecAB(g, so, burst, burst_oracle_vfp);
 
   const double wall_s = wall_ms / 1000.0;
   const uint64_t sheds = stats.shed_queue_full + stats.shed_deadline;
@@ -1370,11 +685,13 @@ int Main(int argc, char** argv) {
        << ",\n  \"throughput_qps\": "
        << (wall_s > 0 ? stats.completed / wall_s : 0.0)
        << ",\n  \"offered_qps\": "
-       << (wall_s > 0 ? stats.submitted / wall_s : 0.0)
+       << (arrival_window_s > 0 ? stats.submitted / arrival_window_s : 0.0)
        << ",\n  \"latency_ms\": {\"p50\": " << Percentile(latencies_ms, 0.50)
        << ", \"p99\": " << Percentile(latencies_ms, 0.99)
        << ", \"max\": " << (latencies_ms.empty() ? 0.0 : latencies_ms.back())
        << ", \"mean\": " << mean_ms
+       << "},\n  \"submit_lag_ms\": {\"p99\": " << Percentile(submit_lag_ms, 0.99)
+       << ", \"max\": " << (submit_lag_ms.empty() ? 0.0 : submit_lag_ms.back())
        << "},\n  \"rates\": {\"shed\": " << shed_rate
        << ", \"fault\": " << fault_rate << ", \"retry\": " << retry_rate
        << "},\n  \"ledger\": {\"submitted\": " << stats.submitted
@@ -1412,6 +729,10 @@ int Main(int argc, char** argv) {
                : 0.0)
        << ", \"replay_hits\": " << replay_hits
        << ", \"replay_wall_ms\": " << replay_ms
+       << "},\n  \"codec\": {\"direct_ms\": " << codec.direct_ms
+       << ", \"loopback_ms\": " << codec.loopback_ms
+       << ", \"codec_ms\": " << codec.codec_ms
+       << ", \"codec_overhead\": " << codec.codec_overhead
        << "},\n  \"pool\": {\"submits\": "
        << (pool_after.submits - pool_before.submits)
        << ", \"contended_submits\": "
@@ -1419,96 +740,13 @@ int Main(int argc, char** argv) {
        << ", \"inline_runs\": "
        << (pool_after.inline_runs - pool_before.inline_runs)
        << "},\n";
-  if (remote.ran) {
-    json << "  \"remote\": {\"clients\": " << args.clients
-         << ", \"responses\": " << remote.responses
-         << ", \"mismatches\": " << remote.mismatches
-         << ", \"wall_ms\": " << remote.wall_ms
-         << ", \"tcp_ok\": " << (remote.tcp_ok ? "true" : "false")
-         << ", \"malformed_ok\": " << (remote.malformed_ok ? "true" : "false")
-         << ", \"direct_ms\": " << remote.direct_ms
-         << ", \"loopback_ms\": " << remote.loopback_ms
-         << ", \"codec_ms\": " << remote.codec_ms
-         << ", \"codec_overhead\": " << remote.codec_overhead
-         << ", \"server\": {\"accepted\": " << remote.server.accepted
-         << ", \"requests\": " << remote.server.requests
-         << ", \"responses\": " << remote.server.responses
-         << ", \"rejects\": " << remote.server.rejects
-         << ", \"decode_errors\": " << remote.server.decode_errors
-         << ", \"fatal_decode_errors\": " << remote.server.fatal_decode_errors
-         << ", \"bytes_rx\": " << remote.server.bytes_rx
-         << ", \"bytes_tx\": " << remote.server.bytes_tx
-         << "}},\n";
-  }
-  if (chaos.ran) {
-    json << "  \"chaos\": {\"spec\": \"" << chaos.spec << "\""
-         << ", \"clients\": " << args.clients
-         << ", \"completed\": " << chaos.completed
-         << ", \"rejected\": " << chaos.rejected
-         << ", \"failed\": " << chaos.failed
-         << ", \"mismatches\": " << chaos.mismatches
-         << ", \"hangs\": " << chaos.hangs
-         << ", \"fd_ok\": " << (chaos.fd_ok ? "true" : "false")
-         << ", \"wall_ms\": " << chaos.wall_ms
-         << ", \"retry\": {\"calls\": " << chaos.retry.calls
-         << ", \"ok\": " << chaos.retry.ok
-         << ", \"failed\": " << chaos.retry.failed
-         << ", \"attempts\": " << chaos.retry.attempts
-         << ", \"reconnects\": " << chaos.retry.reconnects
-         << ", \"retried_connect\": " << chaos.retry.retried_connect
-         << ", \"retried_send\": " << chaos.retry.retried_send
-         << ", \"retried_recv\": " << chaos.retry.retried_recv
-         << ", \"retried_timeout\": " << chaos.retry.retried_timeout
-         << ", \"failfast_typed\": " << chaos.retry.failfast_typed
-         << ", \"backoff_ms_total\": " << chaos.retry.backoff_ms_total
-         << "}, \"proxy\": {\"connections\": " << chaos.proxy.connections
-         << ", \"chunks\": " << chaos.proxy.chunks
-         << ", \"delays\": " << chaos.proxy.delays
-         << ", \"splits\": " << chaos.proxy.splits
-         << ", \"stalls\": " << chaos.proxy.stalls
-         << ", \"dups\": " << chaos.proxy.dups
-         << ", \"drops\": " << chaos.proxy.drops
-         << ", \"resets\": " << chaos.proxy.resets
-         << ", \"bytes_in\": " << chaos.proxy.bytes_in
-         << ", \"bytes_out\": " << chaos.proxy.bytes_out
-         << "}, \"server\": {\"accepted\": " << chaos.server.accepted
-         << ", \"requests\": " << chaos.server.requests
-         << ", \"responses\": " << chaos.server.responses
-         << ", \"rejects\": " << chaos.server.rejects
-         << ", \"idle_closed\": " << chaos.server.idle_closed
-         << ", \"header_timeout_closed\": "
-         << chaos.server.header_timeout_closed
-         << ", \"pipeline_rejects\": " << chaos.server.pipeline_rejects
-         << ", \"broken_pipe_writes\": " << chaos.server.broken_pipe_writes
-         << "}},\n";
-  }
-  if (drain.ran) {
-    json << "  \"drain\": {\"clean\": " << (drain.clean ? "true" : "false")
-         << ", \"responses\": " << drain.responses
-         << ", \"stopping_rejects\": " << drain.stopping_rejects
-         << ", \"drained_replies\": " << drain.drained_replies
-         << ", \"drain_dropped\": " << drain.drain_dropped
-         << ", \"wall_ms\": " << drain.wall_ms
-         << "},\n";
-  }
   json << "  \"ledger_ok\": " << (ledger_ok ? "true" : "false")
        << ",\n  \"oracle_ok\": " << (oracle_ok ? "true" : "false")
        << ",\n  \"batch_oracle_ok\": " << (batch_oracle_ok ? "true" : "false")
-       << ",\n  \"cache_oracle_ok\": " << (cache_oracle_ok ? "true" : "false");
-  if (remote.ran) {
-    json << ",\n  \"remote_ok\": "
-         << (remote.remote_ok && remote.malformed_ok && remote.tcp_ok
-                 ? "true"
-                 : "false")
-         << ",\n  \"codec_overhead_ok\": "
-         << (remote.codec_overhead_ok ? "true" : "false");
-  }
-  if (chaos.ran) {
-    json << ",\n  \"chaos_ok\": " << (chaos.chaos_ok ? "true" : "false");
-  }
-  if (drain.ran) {
-    json << ",\n  \"drain_ok\": " << (drain.drain_ok ? "true" : "false");
-  }
+       << ",\n  \"cache_oracle_ok\": " << (cache_oracle_ok ? "true" : "false")
+       << ",\n  \"codec_ok\": " << (codec.codec_ok ? "true" : "false")
+       << ",\n  \"codec_overhead_ok\": "
+       << (codec.codec_overhead_ok ? "true" : "false");
   json << "\n}\n";
 
   if (!args.json_path.empty()) {
@@ -1519,31 +757,15 @@ int Main(int argc, char** argv) {
   std::cout << json.str();
 
   if (args.smoke) {
-    const bool remote_gates_ok =
-        !remote.ran || (remote.remote_ok && remote.malformed_ok &&
-                        remote.tcp_ok && remote.codec_overhead_ok);
-    const bool chaos_gates_ok = !chaos.ran || chaos.chaos_ok;
-    const bool drain_gates_ok = !drain.ran || drain.drain_ok;
     if (!ledger_ok || !oracle_ok || !batch_oracle_ok || !cache_oracle_ok ||
-        !remote_gates_ok || !chaos_gates_ok || !drain_gates_ok) {
+        !codec.codec_ok || !codec.codec_overhead_ok) {
       std::cerr << "SMOKE FAIL: ledger_ok=" << ledger_ok
                 << " oracle_ok=" << oracle_ok
                 << " batch_oracle_ok=" << batch_oracle_ok
-                << " cache_oracle_ok=" << cache_oracle_ok;
-      if (remote.ran) {
-        std::cerr << " remote_ok=" << remote.remote_ok
-                  << " malformed_ok=" << remote.malformed_ok
-                  << " tcp_ok=" << remote.tcp_ok
-                  << " codec_overhead_ok=" << remote.codec_overhead_ok
-                  << " (codec_overhead=" << remote.codec_overhead << ")";
-      }
-      if (chaos.ran) {
-        std::cerr << " chaos_ok=" << chaos.chaos_ok;
-      }
-      if (drain.ran) {
-        std::cerr << " drain_ok=" << drain.drain_ok;
-      }
-      std::cerr << "\n";
+                << " cache_oracle_ok=" << cache_oracle_ok
+                << " codec_ok=" << codec.codec_ok
+                << " codec_overhead_ok=" << codec.codec_overhead_ok
+                << " (codec_overhead=" << codec.codec_overhead << ")\n";
       return 1;
     }
     std::cerr << "smoke OK\n";

@@ -1,8 +1,8 @@
 // Blocking wire client for the socket query service: one connection, one
 // outstanding request at a time, synchronous Call(). This is the process
-// boundary's equivalent of GraphService::Submit().get() — bench/qps --remote
-// runs many of these concurrently (one per client thread) to model
-// independent client PROCESSES without fork cost in the harness.
+// boundary's equivalent of GraphService::Submit().get() — the server tests
+// run several of these concurrently (one per client thread) to model
+// independent client PROCESSES without fork cost.
 //
 // Error model mirrors the rest of the stack: transport and codec failures
 // come back as a typed ClientStatus plus a human-readable detail, never an

@@ -60,6 +60,33 @@ TEST(ParseU32FlagDeathTest, OutOfRangeExits2) {
               ::testing::ExitedWithCode(2), "--scale out of uint32 range");
 }
 
+TEST(ParseDoubleFlagTest, AcceptsFiniteNumbers) {
+  EXPECT_DOUBLE_EQ(ParseDoubleFlag("5000", "--qps"), 5000.0);
+  EXPECT_DOUBLE_EQ(ParseDoubleFlag("0.25", "--hot-fraction"), 0.25);
+  EXPECT_DOUBLE_EQ(ParseDoubleFlag("1e3", "--qps"), 1000.0);
+}
+
+TEST(ParseDoubleFlagDeathTest, TrailingGarbageExits2) {
+  EXPECT_EXIT(ParseDoubleFlag("5000abc", "--qps"), ::testing::ExitedWithCode(2),
+              "--qps expects a finite number");
+}
+
+TEST(ParseDoubleFlagDeathTest, NanAndInfinityExit2) {
+  EXPECT_EXIT(ParseDoubleFlag("nan", "--fault-rate"),
+              ::testing::ExitedWithCode(2), "--fault-rate expects a finite");
+  EXPECT_EXIT(ParseDoubleFlag("inf", "--qps"), ::testing::ExitedWithCode(2),
+              "--qps expects a finite number");
+  EXPECT_EXIT(ParseDoubleFlag("1e999", "--qps"), ::testing::ExitedWithCode(2),
+              "--qps expects a finite number");
+}
+
+TEST(ParseDoubleFlagDeathTest, EmptyOrSpacedExits2) {
+  EXPECT_EXIT(ParseDoubleFlag("", "--qps"), ::testing::ExitedWithCode(2),
+              "--qps expects a finite number");
+  EXPECT_EXIT(ParseDoubleFlag(" 5", "--qps"), ::testing::ExitedWithCode(2),
+              "--qps expects a finite number");
+}
+
 TEST(ParseArgsDeathTest, UnknownFlagExits2WithUsage) {
   Argv a({"bin", "--bogus"});
   EXPECT_EXIT(ParseArgs(a.argc(), a.argv()), ::testing::ExitedWithCode(2),

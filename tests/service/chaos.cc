@@ -1,4 +1,4 @@
-#include "service/chaos.h"
+#include "tests/service/chaos.h"
 
 #include <fcntl.h>
 #include <poll.h>
@@ -9,151 +9,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <random>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 namespace simdx::service {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-bool SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-void AppendTerm(std::ostringstream& os, const char* name, double p, double ms,
-                bool has_ms) {
-  os << "," << name << "@p=" << p;
-  if (has_ms) {
-    os << ":ms=" << ms;
-  }
-}
-
-}  // namespace
-
-std::string ChaosSpec::Describe() const {
-  std::ostringstream os;
-  os << "seed=" << seed;
-  if (delay_p > 0) AppendTerm(os, "delay", delay_p, delay_ms, true);
-  if (split_p > 0) AppendTerm(os, "split", split_p, 0, false);
-  if (stall_p > 0) AppendTerm(os, "stall", stall_p, stall_ms, true);
-  if (dup_p > 0) AppendTerm(os, "dup", dup_p, 0, false);
-  if (drop_p > 0) AppendTerm(os, "drop", drop_p, 0, false);
-  if (reset_p > 0) AppendTerm(os, "reset", reset_p, 0, false);
-  return os.str();
-}
-
-bool ChaosSpec::Parse(const std::string& spec, ChaosSpec* out,
-                      std::string* error) {
-  auto fail = [error](const std::string& why) {
-    if (error != nullptr) {
-      *error = why;
-    }
-    return false;
-  };
-  ChaosSpec parsed;
-  std::vector<std::string> seen;
-  size_t at = 0;
-  while (at <= spec.size()) {
-    const size_t comma = std::min(spec.find(',', at), spec.size());
-    const std::string term = spec.substr(at, comma - at);
-    at = comma + 1;
-    if (term.empty()) {
-      return fail("empty term");
-    }
-    std::string name;
-    double p = 0.0;
-    double ms = 0.0;
-    bool has_ms = false;
-    if (term.rfind("seed=", 0) == 0) {
-      name = "seed";
-      if (!ParseU64(term.substr(5), &parsed.seed)) {
-        return fail("bad seed in '" + term + "'");
-      }
-    } else {
-      const size_t atp = term.find("@p=");
-      if (atp == std::string::npos) {
-        return fail("expected name@p=... in '" + term + "'");
-      }
-      name = term.substr(0, atp);
-      std::string rest = term.substr(atp + 3);
-      const size_t colon = rest.find(":ms=");
-      if (colon != std::string::npos) {
-        has_ms = true;
-        if (!ParseDouble(rest.substr(colon + 4), &ms) || ms < 0.0) {
-          return fail("bad ms in '" + term + "'");
-        }
-        rest = rest.substr(0, colon);
-      }
-      if (!ParseDouble(rest, &p) || p < 0.0 || p > 1.0) {
-        return fail("bad probability in '" + term + "' (want [0,1])");
-      }
-      if (name == "delay") {
-        parsed.delay_p = p;
-        if (has_ms) parsed.delay_ms = ms;
-      } else if (name == "stall") {
-        parsed.stall_p = p;
-        if (has_ms) parsed.stall_ms = ms;
-      } else if (name == "split" || name == "dup" || name == "drop" ||
-                 name == "reset") {
-        if (has_ms) {
-          return fail("'" + name + "' takes no ms parameter");
-        }
-        if (name == "split") parsed.split_p = p;
-        if (name == "dup") parsed.dup_p = p;
-        if (name == "drop") parsed.drop_p = p;
-        if (name == "reset") parsed.reset_p = p;
-      } else {
-        return fail("unknown fault '" + name + "'");
-      }
-    }
-    if (std::find(seen.begin(), seen.end(), name) != seen.end()) {
-      return fail("duplicate term '" + name + "'");
-    }
-    seen.push_back(name);
-    if (comma == spec.size()) {
-      break;
-    }
-  }
-  if (seen.empty()) {
-    return fail("empty spec");
-  }
-  *out = parsed;
-  return true;
-}
 
 ChaosSpec ChaosSpec::Default() {
   ChaosSpec s;
@@ -185,6 +47,13 @@ ChaosSpec ChaosSpec::Scaled(double factor) const {
 // Proxy internals.
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+bool SetNonBlocking(int fd) {
+  const int flags = fcntl(fd, F_GETFL, 0);
+  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
 
 struct Chunk {
   std::vector<uint8_t> bytes;

@@ -9,17 +9,12 @@
 // call a TYPED status within its timeout bound, zero hangs, zero crashes,
 // zero leaked fds.
 //
-// Spec grammar (mirrors core/fault.h's FaultRegistry: comma-separated
-// terms, duplicate terms rejected, unparseable specs are a typed false,
-// never an abort):
-//   spec  := term ("," term)*
-//   term  := "seed=" u64
-//          | name "@p=" float [":ms=" float]
-//   name  := "delay" | "split" | "stall" | "dup" | "drop" | "reset"
-// Example: "seed=7,delay@p=0.2:ms=3,split@p=0.5,drop@p=0.02,reset@p=0.01"
-// `p` is the per-chunk probability of the fault; `ms` parameterizes the
-// time-based faults (delay holds one chunk, stall freezes one direction)
-// and is rejected on the others.
+// Test scaffolding: built into its own library under tests/ and linked only
+// by the chaos sweep (tests/service/chaos_test.cc), never into libsimdx.
+//
+// A ChaosSpec carries, per fault, a per-chunk probability `p` and, for the
+// time-based faults, a duration `ms` (delay holds one chunk, stall freezes
+// one direction).
 //
 // Fault semantics, drawn PER CHUNK in a fixed order (reset, drop, dup,
 // split, delay, stall) from one mt19937_64 seeded by `seed` — a failing
@@ -34,8 +29,8 @@
 //
 // Single poll thread, non-blocking fds, MSG_NOSIGNAL writes, self-pipe
 // Stop() — the same dispatch discipline as the server it proxies.
-#ifndef SIMDX_SERVICE_CHAOS_H_
-#define SIMDX_SERVICE_CHAOS_H_
+#ifndef SIMDX_TESTS_SERVICE_CHAOS_H_
+#define SIMDX_TESTS_SERVICE_CHAOS_H_
 
 #include <atomic>
 #include <cstdint>
@@ -63,18 +58,9 @@ struct ChaosSpec {
            drop_p > 0 || reset_p > 0;
   }
 
-  // Canonical one-line rendering (round-trips through Parse).
-  std::string Describe() const;
-
-  // Parses the grammar above into *out. False (with *error set) on unknown
-  // names, bad numbers, out-of-range probabilities, duplicate terms, or an
-  // `ms` on a fault that takes none.
-  static bool Parse(const std::string& spec, ChaosSpec* out,
-                    std::string* error);
-
-  // The mix the chaos sweep and `qps --chaos default` run: every fault
-  // armed at low-but-bite probability, time faults short enough that the
-  // client timeouts (seconds) dominate them by orders of magnitude.
+  // The mix the chaos sweep runs: every fault armed at low-but-bite
+  // probability, time faults short enough that the client timeouts
+  // (seconds) dominate them by orders of magnitude.
   static ChaosSpec Default();
 
   // Multiplies every probability by `factor` (clamped to [0,1]) — the
@@ -82,8 +68,8 @@ struct ChaosSpec {
   ChaosSpec Scaled(double factor) const;
 };
 
-// Everything the proxy did, for JSON emission and test gates. Snapshotted
-// after Stop(); reading while the proxy runs races.
+// Everything the proxy did, for test gates. Snapshotted after Stop();
+// reading while the proxy runs races.
 struct ChaosStats {
   uint64_t connections = 0;   // client links accepted
   uint64_t backend_fails = 0; // accepted links whose backend connect failed
@@ -143,4 +129,4 @@ class ChaosProxy {
 
 }  // namespace simdx::service
 
-#endif  // SIMDX_SERVICE_CHAOS_H_
+#endif  // SIMDX_TESTS_SERVICE_CHAOS_H_

@@ -12,7 +12,7 @@
 // Sweep scale responds to the nightly env knobs: SIMDX_SWEEP_SEEDS chooses
 // how many proxy seeds run (each seed is an independent fault schedule) and
 // SIMDX_SWEEP_CHAOS_DENSITY multiplies every fault probability.
-#include "service/chaos.h"
+#include "tests/service/chaos.h"
 
 #include <dirent.h>
 #include <gtest/gtest.h>
@@ -68,50 +68,7 @@ std::string UniquePath(const char* tag) {
 }
 
 // ---------------------------------------------------------------------------
-// Spec grammar.
-
-TEST(ChaosSpecTest, ParsesTheFullGrammar) {
-  ChaosSpec s;
-  std::string err;
-  ASSERT_TRUE(ChaosSpec::Parse(
-      "seed=7,delay@p=0.2:ms=3,split@p=0.5,stall@p=0.1:ms=25,dup@p=0.05,"
-      "drop@p=0.04,reset@p=0.02",
-      &s, &err))
-      << err;
-  EXPECT_EQ(s.seed, 7u);
-  EXPECT_DOUBLE_EQ(s.delay_p, 0.2);
-  EXPECT_DOUBLE_EQ(s.delay_ms, 3.0);
-  EXPECT_DOUBLE_EQ(s.split_p, 0.5);
-  EXPECT_DOUBLE_EQ(s.stall_p, 0.1);
-  EXPECT_DOUBLE_EQ(s.stall_ms, 25.0);
-  EXPECT_DOUBLE_EQ(s.dup_p, 0.05);
-  EXPECT_DOUBLE_EQ(s.drop_p, 0.04);
-  EXPECT_DOUBLE_EQ(s.reset_p, 0.02);
-  EXPECT_TRUE(s.armed());
-}
-
-TEST(ChaosSpecTest, DescribeRoundTripsThroughParse) {
-  const ChaosSpec def = ChaosSpec::Default();
-  ChaosSpec back;
-  std::string err;
-  ASSERT_TRUE(ChaosSpec::Parse(def.Describe(), &back, &err)) << err;
-  EXPECT_EQ(back.Describe(), def.Describe());
-}
-
-TEST(ChaosSpecTest, RejectsHostileSpecsTyped) {
-  ChaosSpec s;
-  std::string err;
-  EXPECT_FALSE(ChaosSpec::Parse("", &s, &err));
-  EXPECT_FALSE(ChaosSpec::Parse("delay@p=0.1,delay@p=0.2", &s, &err));
-  EXPECT_TRUE(err.find("duplicate") != std::string::npos) << err;
-  EXPECT_FALSE(ChaosSpec::Parse("seed=1,seed=2", &s, &err));
-  EXPECT_FALSE(ChaosSpec::Parse("explode@p=0.5", &s, &err));
-  EXPECT_FALSE(ChaosSpec::Parse("delay@p=1.5", &s, &err));      // p > 1
-  EXPECT_FALSE(ChaosSpec::Parse("delay@p=banana", &s, &err));
-  EXPECT_FALSE(ChaosSpec::Parse("drop@p=0.1:ms=5", &s, &err));  // no ms knob
-  EXPECT_FALSE(ChaosSpec::Parse("seed=xyz", &s, &err));
-  EXPECT_FALSE(ChaosSpec::Parse("delay@p=0.1,,split@p=0.2", &s, &err));
-}
+// Spec scaling.
 
 TEST(ChaosSpecTest, ScalingClampsToProbabilityRange) {
   const ChaosSpec s = ChaosSpec::Default().Scaled(100.0);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "algos/algos.h"
+#include "core/checkpoint.h"
 #include "core/fingerprint.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -134,37 +135,101 @@ TEST_F(ServerTest, ConcurrentClientsAllGetTheirOwnAnswers) {
   }
 }
 
-TEST_F(ServerTest, RawGarbageGetsBadFrameRejectThenClose) {
-  BlockingClient cli;
-  std::string err;
-  ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
-  const char garbage[] = "GET / HTTP/1.1\r\n\r\n";  // wrong protocol entirely
-  ASSERT_EQ(cli.SendRaw(garbage, sizeof(garbage) - 1, &err), ClientStatus::kOk);
-  wire::Frame reply;
-  ASSERT_EQ(cli.ReadFrame(&reply, &err), ClientStatus::kOk) << err;
-  ASSERT_EQ(reply.type, wire::MsgType::kReject);
-  EXPECT_EQ(reply.reject.code,
-            static_cast<uint8_t>(wire::RejectCode::kBadFrame));
-  // Frame sync is gone: the server closes after flushing the reject.
-  EXPECT_EQ(cli.ReadFrame(&reply, &err), ClientStatus::kRecvFailed);
-}
+// Every hostile frame is ANSWERED with a typed reject, and the
+// fatal/recoverable split follows the codec's IsFatal contract: header-level
+// corruption closes the stream (frame sync is gone), while after a body-level
+// or admission reject the SAME connection still answers a real query.
+TEST_F(ServerTest, HostileFramesGetTypedRejectsThenCloseOrContinue) {
+  const auto request_bytes = [](uint8_t kind_byte) {
+    wire::RequestFrame f = BfsRequest(0);
+    f.request_id = 7;
+    f.kind = kind_byte;
+    std::vector<uint8_t> b;
+    wire::EncodeRequest(f, &b);
+    return b;
+  };
+  const auto framed = [](uint16_t msg_type, const std::vector<uint8_t>& body) {
+    std::vector<uint8_t> b;
+    ByteWriter w(&b);
+    w.Pod(wire::kFrameMagic);
+    w.Pod(wire::kWireVersion);
+    w.Pod(msg_type);
+    w.Pod(static_cast<uint32_t>(body.size()));
+    w.Pod(Crc32(body.data(), body.size()));
+    w.Bytes(body.data(), body.size());
+    return b;
+  };
+  const uint8_t bfs = static_cast<uint8_t>(QueryKind::kBfs);
+  struct Case {
+    const char* name;
+    std::vector<uint8_t> bytes;
+    wire::RejectCode expect;
+    bool fatal;
+  };
+  std::vector<Case> cases;
+  {
+    const std::string http = "GET / HTTP/1.1\r\n\r\n";  // wrong protocol
+    cases.push_back({"http-garbage", {http.begin(), http.end()},
+                     wire::RejectCode::kBadFrame, true});
+  }
+  {
+    auto b = request_bytes(bfs);
+    b[0] ^= 0xFF;
+    cases.push_back({"bad-magic", b, wire::RejectCode::kBadFrame, true});
+  }
+  {
+    auto b = request_bytes(bfs);
+    b[4] ^= 0xFF;
+    cases.push_back({"bad-version", b, wire::RejectCode::kBadFrame, true});
+  }
+  {
+    auto b = request_bytes(bfs);
+    b.back() ^= 0xFF;  // body no longer matches the header CRC
+    cases.push_back({"bad-crc", b, wire::RejectCode::kBadFrame, true});
+  }
+  {
+    // A 4 GiB body_length is refused from the header alone, before any
+    // allocation: no body byte ever arrives.
+    auto b = request_bytes(bfs);
+    b.resize(wire::kFrameHeaderBytes);
+    const uint32_t huge = 0xFFFFFFFFu;
+    std::memcpy(&b[8], &huge, sizeof(huge));
+    cases.push_back({"oversized-length", b, wire::RejectCode::kBadFrame, true});
+  }
+  cases.push_back({"unknown-msg-type", framed(99, {}),
+                   wire::RejectCode::kMalformedBody, false});
+  cases.push_back(
+      {"garbage-body",
+       framed(static_cast<uint16_t>(wire::MsgType::kRequest), {1, 2, 3}),
+       wire::RejectCode::kMalformedBody, false});
+  // The codec carries an out-of-range kind byte intact (structure, not
+  // range); admission refuses it before any per-kind array is indexed.
+  cases.push_back({"out-of-range-kind", request_bytes(200),
+                   wire::RejectCode::kInvalidQuery, false});
 
-TEST_F(ServerTest, OutOfRangeKindByteIsInvalidQueryNotACrash) {
-  // The codec carries the hostile byte intact; ADMISSION refuses it before
-  // any per-kind array is indexed (the kind-byte bound-guard fix). The
-  // connection survives — the frame itself was well-formed.
-  BlockingClient cli;
-  std::string err;
-  ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
-  wire::RequestFrame rf = BfsRequest(0);
-  rf.kind = 200;
-  wire::Frame reply;
-  ASSERT_EQ(cli.Call(rf, &reply, &err), ClientStatus::kOk) << err;
-  ASSERT_EQ(reply.type, wire::MsgType::kReject);
-  EXPECT_EQ(reply.reject.code,
-            static_cast<uint8_t>(wire::RejectCode::kInvalidQuery));
-  ASSERT_EQ(cli.Call(BfsRequest(0), &reply, &err), ClientStatus::kOk);
-  EXPECT_EQ(reply.type, wire::MsgType::kResponse);
+  const uint64_t oracle = OracleVfp(0);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    BlockingClient cli;
+    std::string err;
+    ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk)
+        << err;
+    ASSERT_EQ(cli.SendRaw(c.bytes.data(), c.bytes.size(), &err),
+              ClientStatus::kOk)
+        << err;
+    wire::Frame reply;
+    ASSERT_EQ(cli.ReadFrame(&reply, &err), ClientStatus::kOk) << err;
+    ASSERT_EQ(reply.type, wire::MsgType::kReject);
+    EXPECT_EQ(reply.reject.code, static_cast<uint8_t>(c.expect));
+    if (c.fatal) {
+      EXPECT_EQ(cli.ReadFrame(&reply, &err), ClientStatus::kRecvFailed);
+    } else {
+      ASSERT_EQ(cli.Call(BfsRequest(0), &reply, &err), ClientStatus::kOk)
+          << err;
+      ASSERT_EQ(reply.type, wire::MsgType::kResponse);
+      EXPECT_EQ(reply.response.value_fingerprint, oracle);
+    }
+  }
 }
 
 TEST_F(ServerTest, InvalidSourceMapsToInvalidQueryReject) {
