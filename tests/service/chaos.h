@@ -9,8 +9,8 @@
 // call a TYPED status within its timeout bound, zero hangs, zero crashes,
 // zero leaked fds.
 //
-// Test scaffolding: built into its own library under tests/ and linked only
-// by the chaos sweep (tests/service/chaos_test.cc), never into libsimdx.
+// Test scaffolding: compiled only into the chaos sweep
+// (tests/service/chaos_test.cc), never into libsimdx.
 //
 // A ChaosSpec carries, per fault, a per-chunk probability `p` and, for the
 // time-based faults, a duration `ms` (delay holds one chunk, stall freezes

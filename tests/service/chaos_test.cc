@@ -268,7 +268,12 @@ TEST(ChaosSweepTest, FaultedTransportNeverCorruptsOrHangs) {
           if (st == ClientStatus::kOk) {
             if (reply.type == wire::MsgType::kResponse) {
               completed.fetch_add(1);
-              if (reply.response.value_fingerprint != oracle[src]) {
+              // Both the fingerprint the server carried and one recomputed
+              // over the value bytes that arrived: the carried field is 8
+              // bytes of the body, so mangled value bytes must fail too.
+              const auto& vb = reply.response.value_bytes;
+              if (reply.response.value_fingerprint != oracle[src] ||
+                  ValueBytesFingerprint(vb.data(), vb.size()) != oracle[src]) {
                 mismatches.fetch_add(1);
               }
             } else {

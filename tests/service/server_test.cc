@@ -35,6 +35,11 @@ class ServerTest : public ::testing::Test {
     so.workers = 2;
     service_ = std::make_unique<GraphService>(*graph_, so);
     ServerOptions opts;
+    // Lifecycle limits armed but generous (the torn write pauses 20 ms), so
+    // every hostile-frame and concurrency case also runs with them on.
+    opts.header_timeout_ms = 2000.0;
+    opts.idle_timeout_ms = 10000.0;
+    opts.max_pipeline = 64;
     opts.uds_path = "/tmp/simdx_server_test_" + std::to_string(::getpid()) +
                     "_" + std::to_string(++instance_) + ".sock";
     opts.tcp = true;  // ephemeral loopback port
@@ -100,7 +105,7 @@ TEST_F(ServerTest, TcpAnswerMatchesToo) {
 
 TEST_F(ServerTest, ConcurrentClientsAllGetTheirOwnAnswers) {
   constexpr int kClients = 4;
-  constexpr int kPerClient = 8;
+  constexpr int kPerClient = 16;
   std::vector<uint64_t> oracle;
   for (int s = 0; s < kClients * kPerClient; ++s) {
     oracle.push_back(OracleVfp(static_cast<VertexId>(s)));
@@ -120,8 +125,14 @@ TEST_F(ServerTest, ConcurrentClientsAllGetTheirOwnAnswers) {
         wire::Frame reply;
         if (cli.Call(BfsRequest(static_cast<VertexId>(s)), &reply, &err) !=
                 ClientStatus::kOk ||
-            reply.type != wire::MsgType::kResponse ||
-            reply.response.value_fingerprint != oracle[s]) {
+            reply.type != wire::MsgType::kResponse) {
+          ++failures[c];
+          continue;
+        }
+        // The carried fingerprint AND the decoded value bytes.
+        const auto& vb = reply.response.value_bytes;
+        if (reply.response.value_fingerprint != oracle[s] ||
+            ValueBytesFingerprint(vb.data(), vb.size()) != oracle[s]) {
           ++failures[c];
         }
       }
@@ -347,6 +358,13 @@ struct Harness {
   ~Harness() {
     server->Stop();
     service->Shutdown();
+  }
+
+  uint64_t OracleVfp(VertexId source) const {
+    ServiceOptions so;
+    const auto r = RunBfs(*graph, source, so.device, so.engine);
+    return ValueBytesFingerprint(r.values.data(),
+                                 r.values.size() * sizeof(uint32_t));
   }
 };
 
@@ -652,12 +670,20 @@ TEST(ServerDrainTest, DrainAnswersPendingThenCloses) {
   }
   h.service->Resume();  // now the two parked queries run and resolve
 
+  // Ids 1 and 2 asked for sources 1 and 2: a drained answer must be the
+  // right one, not merely delivered.
+  const uint64_t oracle[3] = {0, h.OracleVfp(1), h.OracleVfp(2)};
   int responses = 0;
   int stopping = 0;
   for (int i = 0; i < 3; ++i) {
     wire::Frame reply;
     ASSERT_EQ(cli.ReadFrame(&reply, &err), ClientStatus::kOk) << err;
     if (reply.type == wire::MsgType::kResponse) {
+      const uint64_t id = reply.response.request_id;
+      ASSERT_TRUE(id == 1 || id == 2) << id;
+      const auto& vb = reply.response.value_bytes;
+      EXPECT_EQ(reply.response.value_fingerprint, oracle[id]);
+      EXPECT_EQ(ValueBytesFingerprint(vb.data(), vb.size()), oracle[id]);
       ++responses;
     } else if (reply.type == wire::MsgType::kReject &&
                reply.reject.code ==
